@@ -11,6 +11,7 @@ use crate::tables::{crawl_col, frontier_row, visited};
 use focus_types::Oid;
 use minirel::value::encode_composite_key;
 use minirel::{Database, DbError, DbResult, Rid, Value};
+use std::ops::Bound;
 
 /// A claimed unit of work.
 #[derive(Debug, Clone)]
@@ -229,9 +230,11 @@ pub fn upsert_batch(db: &mut Database, items: &[FrontierEntry]) -> DbResult<Batc
 
 /// What a batch claim found: the due claims plus how much of the
 /// frontier was *parked* (skipped because `not_before` lies in the
-/// future). `parked`/`next_due` are exact when `claims` came back short
-/// (the whole frontier range was scanned) — exactly the case where the
-/// caller needs them for its idle verdict — and a lower bound otherwise.
+/// future). The scan stops at the n-th admitted row, so `parked`,
+/// `deferred` and `next_due` cover only the rows ahead of it: exact
+/// when `claims` came back short (the whole frontier range was scanned)
+/// — exactly the case where the caller needs them for its idle verdict
+/// — and a lower bound otherwise.
 #[derive(Debug, Default)]
 pub struct ClaimOutcome {
     /// Due entries, best first, now marked `CLAIMED`.
@@ -259,21 +262,21 @@ pub fn claim_next(db: &mut Database) -> DbResult<Option<Claim>> {
 /// scan of the frontier index gathers the rids, and one batch update
 /// flips them all to `CLAIMED` — the range-pop counterpart of the
 /// paper's batch access paths. Rows parked past `now` are skipped
-/// without losing their place in the priority order; because they hide
-/// between poppable rows in the index, the scan over-fetches with a
-/// doubling window until `n` due rows surface or the frontier range is
-/// exhausted. Returns fewer than `n` (possibly zero) claims when the
-/// due frontier runs short.
+/// without losing their place in the priority order. The scan reads
+/// each frontier row at most once and stops at the `n`-th due row or
+/// at the end of the frontier range. Returns fewer than `n` (possibly
+/// zero) claims when the due frontier runs short.
 pub fn claim_batch(db: &mut Database, n: usize, now: i64) -> DbResult<ClaimOutcome> {
     claim_batch_where(db, n, now, |_| true)
 }
 
 /// [`claim_batch`] with an admission predicate: a due row whose decoded
 /// claim fails `admit` is *deferred* — left in place, uncounted against
-/// `n`, tallied in [`ClaimOutcome::deferred`] — and the scan keeps
-/// looking further down the priority order. This is how per-server
-/// politeness caps shape claiming without the pop/park churn a
-/// round-trip through `CLAIMED` would cost: a saturated server's rows
+/// `n`, tallied in [`ClaimOutcome::deferred`] — and the same scan keeps
+/// looking further down the priority order. `admit` runs once per due
+/// row the scan passes, never twice on the same row. This is how
+/// per-server politeness caps shape claiming without the pop/park churn
+/// a round-trip through `CLAIMED` would cost: a saturated server's rows
 /// simply wait their turn in the frontier.
 pub fn claim_batch_where(
     db: &mut Database,
@@ -299,47 +302,51 @@ pub fn claim_batch_where(
             ],
         )
         .ok_or_else(|| DbError::Catalog("crawl lacks frontier index".into()))?;
-    let mut want = n;
-    let due = loop {
-        let hits = catalog.table(tid).indexes[idx]
-            .btree
-            .first_n_at_or_after(pool, &prefix, want)?;
-        let rids: Vec<Rid> = hits
-            .into_iter()
-            .take_while(|(key, _)| key.starts_with(&prefix))
-            .map(|(_, rid)| rid)
-            .collect();
-        let exhausted = rids.len() < want;
-        let mut due: Vec<(Rid, Vec<Value>, Claim)> = Vec::with_capacity(n);
-        out.parked = 0;
-        out.deferred = 0;
-        out.next_due = None;
-        for rid in rids {
-            let row = catalog.get_row(pool, tid, rid)?;
-            if col_i64(&row, crawl_col::VISITED, "visited")? != visited::FRONTIER {
-                return Err(DbError::Corrupt(format!(
-                    "frontier index points at non-frontier row (oid {})",
-                    row[crawl_col::OID]
-                )));
-            }
-            let parked_until = col_i64(&row, crawl_col::NOT_BEFORE, "not_before")?;
-            if parked_until > now {
-                out.parked += 1;
-                out.next_due = Some(out.next_due.map_or(parked_until, |d| d.min(parked_until)));
-            } else if due.len() < n {
-                let claim = decode_claim(&row)?;
-                if admit(&claim) {
-                    due.push((rid, row, claim));
-                } else {
-                    out.deferred += 1;
-                }
-            }
+    // One in-order pass over the `visited = FRONTIER` prefix: each row
+    // is read and decoded at most once, and the scan stops at the n-th
+    // admitted row. The callback cannot return an error, so the first
+    // one stops the scan and is surfaced after it.
+    let mut due: Vec<(Rid, Vec<Value>, Claim)> = Vec::with_capacity(n);
+    let mut failed: Option<DbError> = None;
+    let mut visit = |rid: Rid| -> DbResult<bool> {
+        let row = catalog.get_row(pool, tid, rid)?;
+        if col_i64(&row, crawl_col::VISITED, "visited")? != visited::FRONTIER {
+            return Err(DbError::Corrupt(format!(
+                "frontier index points at non-frontier row (oid {})",
+                row[crawl_col::OID]
+            )));
         }
-        if due.len() >= n || exhausted {
-            break due;
+        let parked_until = col_i64(&row, crawl_col::NOT_BEFORE, "not_before")?;
+        if parked_until > now {
+            out.parked += 1;
+            out.next_due = Some(out.next_due.map_or(parked_until, |d| d.min(parked_until)));
+            return Ok(true);
         }
-        want = want.saturating_mul(2);
+        let claim = decode_claim(&row)?;
+        if admit(&claim) {
+            due.push((rid, row, claim));
+        } else {
+            out.deferred += 1;
+        }
+        Ok(due.len() < n)
     };
+    catalog.table(tid).indexes[idx].btree.scan_range(
+        pool,
+        Bound::Included(&prefix),
+        Bound::Unbounded,
+        |key, rid| {
+            if !key.starts_with(&prefix) {
+                return false;
+            }
+            visit(rid).unwrap_or_else(|e| {
+                failed = Some(e);
+                false
+            })
+        },
+    )?;
+    if let Some(e) = failed {
+        return Err(e);
+    }
     let mut updates = Vec::with_capacity(due.len());
     for (rid, row, claim) in due {
         out.claims.push(claim);
@@ -898,6 +905,34 @@ mod tests {
         assert_eq!(out.next_due, Some(7));
         // claim_next (diagnostics) ignores parking entirely.
         assert!(claim_next(&mut db).unwrap().is_some());
+    }
+
+    #[test]
+    fn deferred_prefix_is_read_once_per_claim() {
+        // D rows of a saturated server sit ahead of the due rows in
+        // priority order; the scan must step over them once, not
+        // re-read them while it looks for the n admitted rows.
+        const D: u64 = 10;
+        const N: usize = 3;
+        let mut db = db();
+        for oid in 1..=D {
+            upsert_frontier(&mut db, Oid(oid), &format!("slow/{oid}"), -0.1, 0).unwrap();
+        }
+        // More due rows than asked for: the scan must stop at the n-th.
+        for oid in 101..=105u64 {
+            upsert_frontier(&mut db, Oid(oid), &format!("fast/{oid}"), -(oid as f64), 0).unwrap();
+        }
+        let mut calls = 0usize;
+        let out = claim_batch_where(&mut db, N, 0, |c| {
+            calls += 1;
+            !c.url.starts_with("slow/")
+        })
+        .unwrap();
+        let oids: Vec<u64> = out.claims.iter().map(|c| c.oid.raw()).collect();
+        assert_eq!(oids, vec![101, 102, 103], "best admitted rows, best first");
+        assert_eq!(out.deferred, D as usize);
+        assert_eq!(out.parked, 0);
+        assert_eq!(calls, D as usize + N, "each row admitted or deferred once");
     }
 
     #[test]

@@ -183,8 +183,12 @@ pub struct CrawlConfig {
     /// batch-oriented access paths). Each claimed page is still fetched
     /// and classified outside the lock and flushed at its own page
     /// boundary; the batch only amortizes the B+tree descents of
-    /// claiming. 1 restores strict claim-per-page behavior. Overridable
-    /// per run via [`crate::run::StartOptions::batch_size`].
+    /// claiming. 1 restores strict claim-per-page behavior. With a
+    /// fetch pool, a worker aims for a target of `max(batch_size,
+    /// ⌈2 × fetch_pool ÷ threads⌉)` jobs in flight and claims only when
+    /// it is at least `min(batch_size, ⌈target ÷ 2⌉)` jobs short, so
+    /// every pooled claim takes a batch. Overridable per run via
+    /// [`crate::run::StartOptions::batch_size`].
     pub batch_size: usize,
     /// Durability of the session store (WAL, crash recovery, replicas).
     pub durability: Durability,
@@ -1077,6 +1081,13 @@ impl CrawlSession {
     /// fetch latency overlaps this worker's CPU work instead of
     /// serializing with it.
     ///
+    /// Refill rule: the target is `max(batch, ⌈2 × pool ÷ workers⌉)`,
+    /// and the worker claims only when the deficit below it reaches
+    /// `min(batch, ⌈target ÷ 2⌉)` (always true with nothing
+    /// outstanding), taking up to `min(deficit, batch)` rows in one
+    /// claim. Each store-write-lock claim thus moves a whole batch, not
+    /// the one slot the last completion freed.
+    ///
     /// Control latency stays one *page*: commands drain every turn, a
     /// pause cancels the queued-but-unfetched jobs immediately and only
     /// waits out fetches already on the wire, and stop/abort unwinds
@@ -1100,6 +1111,9 @@ impl CrawlSession {
         // a tiny pool would defeat batching.
         let workers = self.cfg.threads.max(1);
         let target = batch.max((pool.size() * 2).div_ceil(workers));
+        // The refill rule in the doc above: claim whole batches, never
+        // one store-write-lock claim per freed slot.
+        let refill_at = batch.min(target.div_ceil(2));
         loop {
             self.control.drain(|cmd| self.apply_command(cmd, sink));
             self.drain_exchange();
@@ -1121,8 +1135,9 @@ impl CrawlSession {
                 continue;
             }
             // Top up the pipeline toward the in-flight target.
-            if handle.outstanding() < target {
-                match self.next_tick(sink, (target - handle.outstanding()).min(batch)) {
+            let deficit = target.saturating_sub(handle.outstanding());
+            if deficit >= refill_at {
+                match self.next_tick(sink, deficit.min(batch)) {
                     Tick::Exit => {
                         // Budget spent (or a fatal claim error): stop
                         // feeding the queue. Whatever is already on the

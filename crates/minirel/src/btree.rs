@@ -974,36 +974,6 @@ impl BTree {
         }
     }
 
-    /// First entry at or after `key` (frontier pop support).
-    pub fn first_at_or_after(
-        &self,
-        pool: &BufferPool,
-        key: &[u8],
-    ) -> DbResult<Option<(Vec<u8>, Rid)>> {
-        Ok(self.first_n_at_or_after(pool, key, 1)?.pop())
-    }
-
-    /// Up to `n` entries at or after `key`, in order, from a single
-    /// descent plus a leaf walk (range-pop support: the frontier's
-    /// batch claim takes the n best entries in one pass instead of n
-    /// full descents).
-    pub fn first_n_at_or_after(
-        &self,
-        pool: &BufferPool,
-        key: &[u8],
-        n: usize,
-    ) -> DbResult<Vec<(Vec<u8>, Rid)>> {
-        let mut out = Vec::new();
-        if n == 0 {
-            return Ok(out);
-        }
-        self.scan_range(pool, Bound::Included(key), Bound::Unbounded, |k, rid| {
-            out.push((k.to_vec(), rid));
-            out.len() < n
-        })?;
-        Ok(out)
-    }
-
     /// Structural check used by property tests: keys sorted within and
     /// across leaves; `len` matches entry count.
     pub fn validate(&self, pool: &BufferPool) -> DbResult<()> {
@@ -1354,19 +1324,6 @@ mod tests {
     }
 
     #[test]
-    fn first_at_or_after() {
-        let bp = pool(16);
-        let mut bt = BTree::create(&bp).unwrap();
-        for i in [10i64, 20, 30] {
-            bt.insert(&bp, &key_i(i), rid(i as u32)).unwrap();
-        }
-        let (k, r) = bt.first_at_or_after(&bp, &key_i(15)).unwrap().unwrap();
-        assert_eq!(k, key_i(20));
-        assert_eq!(r.page, 20);
-        assert!(bt.first_at_or_after(&bp, &key_i(31)).unwrap().is_none());
-    }
-
-    #[test]
     fn lookup_many_agrees_with_singular_lookups() {
         let bp = pool(32);
         let mut bt = BTree::create(&bp).unwrap();
@@ -1483,27 +1440,6 @@ mod tests {
             let hit = !bt.lookup(&bp, &key_i(i)).unwrap().is_empty();
             assert_eq!(hit, i % 2 == 1, "key {i}");
         }
-    }
-
-    #[test]
-    fn first_n_at_or_after_walks_in_order() {
-        let bp = pool(16);
-        let mut bt = BTree::create(&bp).unwrap();
-        for i in 0..100i64 {
-            bt.insert(&bp, &key_i(i * 10), rid(i as u32)).unwrap();
-        }
-        let hits = bt.first_n_at_or_after(&bp, &key_i(55), 4).unwrap();
-        let keys: Vec<Vec<u8>> = hits.iter().map(|(k, _)| k.clone()).collect();
-        assert_eq!(keys, vec![key_i(60), key_i(70), key_i(80), key_i(90)]);
-        // Asking past the end returns what exists.
-        assert_eq!(
-            bt.first_n_at_or_after(&bp, &key_i(985), 10).unwrap().len(),
-            1
-        );
-        assert!(bt
-            .first_n_at_or_after(&bp, &key_i(0), 0)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]
