@@ -155,9 +155,10 @@ struct ChaosPoint {
 struct LatencyPoint {
     latency_ms: u64,
     workers: usize,
-    /// Fetch-pool threads (0 would be the inline path; the ladder only
-    /// runs pooled configurations — inline at 50 ms would take minutes
-    /// per rep, which is the point of the pipeline).
+    /// Fetch-pool threads (0 would be a threadless pool, fetching on
+    /// the workers; the ladder only runs threaded pools — fetching on
+    /// the workers at 50 ms would take minutes per rep, which is the
+    /// point of the pipeline).
     fetch_pool: usize,
     attempts: u64,
     pages_per_sec: f64,

@@ -6,8 +6,7 @@
 //! long-lived run. [`FocusSystem::start`] spawns that run in the
 //! background and returns a [`DiscoveryRun`]: a typed event stream,
 //! control commands, snapshots, and `join()` for the classic blocking
-//! outcome. [`FocusSystem::discover`] survives as a deprecated wrapper
-//! (`start(seeds)?.join()`).
+//! outcome.
 
 use focus_classifier::model::TrainedModel;
 use focus_crawler::cluster::{ClusterCheckpoint, CrawlCluster};
@@ -107,13 +106,6 @@ impl FocusSystem {
         self.session.seed(seeds)?;
         let run = self.session.start_with(opts)?;
         Ok(DiscoveryRun { run })
-    }
-
-    /// Seed with `D(C*)` and crawl to the configured budget; ends with a
-    /// final distillation.
-    #[deprecated(note = "use start() for a controllable run; this is start(seeds)?.join()")]
-    pub fn discover(&self, seeds: &[Oid]) -> Result<DiscoveryOutcome, FocusError> {
-        self.start(seeds)?.join()
     }
 
     /// Rebuild a system around a [`DiscoverySnapshot`], so a checkpointed
@@ -428,9 +420,9 @@ impl DiscoveryRun {
         self.run.session()
     }
 
-    /// Wait for the worker pool, then run a final distillation — the
-    /// classic blocking semantics `discover()` always had. Worker panics
-    /// surface as [`FocusError::Worker`].
+    /// Wait for the worker pool, then run a final distillation: seed,
+    /// crawl to the configured budget, distill — the classic blocking
+    /// discovery. Worker panics surface as [`FocusError::Worker`].
     pub fn join(self) -> Result<DiscoveryOutcome, FocusError> {
         let session = Arc::clone(self.run.session());
         let stats = self.run.join()?;
@@ -497,16 +489,6 @@ mod tests {
         // The discovered subgraph is topical: mean harvest well above the
         // base rate of cycling pages in the web (~1/27 topics).
         assert!(outcome.stats.mean_harvest() > 0.2);
-    }
-
-    #[test]
-    fn deprecated_discover_still_works() {
-        let (graph, system, cycling) = cycling_system(23, 150);
-        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
-        #[allow(deprecated)]
-        let outcome = system.discover(&seeds).unwrap();
-        assert!(outcome.stats.successes > 20);
-        assert_eq!(outcome.stats.attempts, 150);
     }
 
     #[test]

@@ -781,7 +781,7 @@ fn split_config(cfg: &CrawlConfig, n_shards: usize) -> Vec<CrawlConfig> {
             // The fetch pool is a cluster-wide thread count split the
             // same way — but a cluster asked to pool at all (total > 0)
             // gives every shard at least one fetcher thread, or a thin
-            // shard would silently fall back to inline fetching.
+            // shard would silently get a threadless pool.
             if cfg.fetch_pool > 0 {
                 c.fetch_pool = (even_split(cfg.fetch_pool as u64, n, i as u64) as usize).max(1);
             }

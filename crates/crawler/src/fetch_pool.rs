@@ -10,14 +10,23 @@
 //! of plain OS threads (no async runtime — consistent with the offline
 //! `vendor/` toolchain) runs the blocking [`Fetcher`] calls in between.
 //!
+//! A pool of size 0 is *threadless*: nothing fetches in the background,
+//! and [`PoolHandle::next_completion`] runs the handle's oldest queued
+//! job on the draining thread itself. That is the inline crawl — fetch,
+//! classify, flush, one page at a time on the CPU worker — expressed as
+//! the degenerate pool, so every crawl runs through one worker loop.
+//! A job is fetched only when drained, so pause and stop still issue no
+//! further fetches and hand every unfetched claim back.
+//!
 //! Ownership model: the pool and its submission queue are shared per
 //! shard, but every completion lands in the [`PoolHandle`] that
 //! submitted the job, so a worker only ever sees its own claims —
-//! claim lifecycle (gauges, flush, unclaim) stays worker-local exactly
-//! as in the inline path. Determinism: each job carries the attempt
-//! number its submitter assigned under the store lock, and fetchers see
-//! it via [`Fetcher::fetch_with_ordinal`] — fault injection keys on the
-//! submission order, never on completion interleaving.
+//! claim lifecycle (gauges, flush, unclaim) stays worker-local.
+//! Determinism: each job carries the attempt number its submitter
+//! assigned under the store lock, and fetchers see it via
+//! [`Fetcher::fetch_with_ordinal`] — fault injection keys on the
+//! submission order, never on completion interleaving or on which
+//! thread ran the fetch.
 //!
 //! Shutdown contract: workers cancel or drain all their jobs before
 //! exiting (the run's wind-down then tears the idle pool down), so a
@@ -31,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What a pool thread produced for one submitted claim.
+/// What fetching one submitted claim produced.
 #[derive(Debug)]
 pub struct Completion {
     /// The claim as submitted.
@@ -40,8 +49,7 @@ pub struct Completion {
     /// submission ordinal is `attempt - 1`).
     pub attempt: u64,
     /// The fetch outcome, or the payload of a panic caught in the
-    /// fetcher — the draining worker re-raises it so a broken fetcher
-    /// fails the run exactly like an inline fetch would.
+    /// fetcher — the draining worker re-raises it (see `run_job`).
     pub outcome: Result<Result<FetchedPage, FetchError>, String>,
 }
 
@@ -62,34 +70,30 @@ struct PoolShared {
     queue: OrderedMutex<VecDeque<Job>>,
     job_ready: OrderedCondvar,
     shutdown: AtomicBool,
+    /// No fetcher threads: jobs run on the thread that drains them.
+    threadless: bool,
 }
 
-impl PoolShared {
-    fn complete(&self, dest: &Arc<HandleShared>, done: Completion) {
-        dest.completions.lock().push_back(done);
-        dest.ready.notify_one();
-    }
-}
-
-/// A shard's fetcher-thread pool. Created at run launch when
-/// `fetch_pool > 0`, shared by that run's CPU workers, torn down at
-/// wind-down.
+/// A shard's fetch pool. Armed at run launch, shared by that run's CPU
+/// workers, torn down at wind-down.
 pub struct FetchPool {
     shared: Arc<PoolShared>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl FetchPool {
-    /// Spawn `size` fetcher threads over `fetcher`. `size` is clamped
-    /// to at least 1 — a zero-thread pool would strand every job.
+    /// Spawn `size` fetcher threads over `fetcher`. With `size == 0`
+    /// no thread is spawned: the pool is threadless and each handle
+    /// runs its own jobs in [`PoolHandle::next_completion`].
     pub fn new(fetcher: Arc<dyn Fetcher>, size: usize) -> FetchPool {
         let shared = Arc::new(PoolShared {
             fetcher,
             queue: OrderedMutex::new(rank::POOL_QUEUE, VecDeque::new()),
             job_ready: OrderedCondvar::new(),
             shutdown: AtomicBool::new(false),
+            threadless: size == 0,
         });
-        let threads = (0..size.max(1))
+        let threads = (0..size)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -101,7 +105,7 @@ impl FetchPool {
         FetchPool { shared, threads }
     }
 
-    /// Fetcher threads in the pool.
+    /// Fetcher threads in the pool (0 for a threadless pool).
     pub fn size(&self) -> usize {
         self.threads.len()
     }
@@ -139,7 +143,11 @@ impl Drop for FetchPool {
 
 fn fetcher_thread(shared: &PoolShared) {
     loop {
-        let job = {
+        let Job {
+            claim,
+            attempt,
+            dest,
+        } = {
             let mut q = shared.queue.lock();
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -151,25 +159,35 @@ fn fetcher_thread(shared: &PoolShared) {
                 q = shared.job_ready.wait(q);
             }
         };
-        let ordinal = job.attempt.saturating_sub(1);
-        let oid = job.claim.oid;
-        let fetched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.fetcher.fetch_with_ordinal(oid, ordinal)
-        }));
-        let outcome = match fetched {
-            Ok(r) => Ok(r),
-            // `as_ref` reaches the payload itself; `&p` would unsize
-            // the Box and make the downcasts see `Box<dyn Any>`.
-            Err(p) => Err(panic_text(p.as_ref())),
-        };
-        shared.complete(
-            &job.dest,
-            Completion {
-                claim: job.claim,
-                attempt: job.attempt,
-                outcome,
-            },
-        );
+        let done = run_job(&*shared.fetcher, claim, attempt);
+        dest.completions.lock().push_back(done);
+        dest.ready.notify_one();
+    }
+}
+
+/// Fetch one job, on whichever thread drained it: a fetcher thread, or
+/// the worker itself on a threadless pool. Callers hold no lock here.
+///
+/// The fetch's submission ordinal is the claim's attempt number minus
+/// one. Attempts are assigned under the store lock at claim time, so a
+/// chaos schedule keyed on the ordinal injects the same faults whatever
+/// the pool size and whichever thread runs the fetch.
+///
+/// A panic in the fetcher is caught and carried in the completion; the
+/// draining worker re-raises it, so a broken fetcher fails the run on
+/// the worker thread whichever thread fetched.
+fn run_job(fetcher: &dyn Fetcher, claim: Claim, attempt: u64) -> Completion {
+    let ordinal = attempt.saturating_sub(1);
+    let oid = claim.oid;
+    let fetched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        fetcher.fetch_with_ordinal(oid, ordinal)
+    }));
+    Completion {
+        claim,
+        attempt,
+        // `as_ref` reaches the payload itself; `&p` would unsize the Box
+        // and make the downcasts see `Box<dyn Any>`.
+        outcome: fetched.map_err(|p| panic_text(p.as_ref())),
     }
 }
 
@@ -193,8 +211,7 @@ pub struct PoolHandle {
 
 impl PoolHandle {
     /// Submit one batch of claims whose attempt numbers start at
-    /// `first_attempt` (contiguous, in batch order — the same numbering
-    /// the inline path uses for chaos ticks).
+    /// `first_attempt` (contiguous, in batch order, as claimed).
     pub fn submit(&mut self, claims: Vec<Claim>, first_attempt: u64) {
         if claims.is_empty() {
             return;
@@ -220,9 +237,21 @@ impl PoolHandle {
     /// Next completion for this handle, waiting up to `timeout`. `None`
     /// when nothing is outstanding or nothing completed in time — the
     /// caller's loop uses the timeout to stay responsive to commands.
+    ///
+    /// On a threadless pool this takes the handle's oldest queued job
+    /// and fetches it here, on the calling thread, without waiting.
     pub fn next_completion(&mut self, timeout: Duration) -> Option<Completion> {
         if self.outstanding == 0 {
             return None;
+        }
+        if self.pool.threadless {
+            let job = {
+                let mut q = self.pool.queue.lock();
+                let i = q.iter().position(|j| Arc::ptr_eq(&j.dest, &self.dest))?;
+                q.remove(i)?
+            };
+            self.outstanding -= 1;
+            return Some(run_job(&*self.pool.fetcher, job.claim, job.attempt));
         }
         let mut c = self.dest.completions.lock();
         if c.is_empty() {
@@ -260,8 +289,9 @@ impl PoolHandle {
     /// Pull this handle's not-yet-started jobs back out of the
     /// submission queue, in submission order. Jobs already picked up by
     /// a fetcher thread are *not* returned — they will still complete
-    /// and must be drained. Used by pause (hold and resubmit) and stop
-    /// (unclaim).
+    /// and must be drained. On a threadless pool nothing is ever picked
+    /// up ahead of the drain, so every undrained job comes back. Used by
+    /// pause (hold and resubmit) and stop (unclaim).
     pub fn cancel_unstarted(&mut self) -> Vec<(Claim, u64)> {
         let mut q = self.pool.queue.lock();
         let mut mine = Vec::new();
@@ -325,23 +355,28 @@ mod tests {
 
     #[test]
     fn handles_are_isolated() {
-        let sim = sim();
-        let pool = Arc::new(FetchPool::new(sim.clone(), 4));
-        let mut a = pool.handle();
-        let mut b = pool.handle();
-        let claims = claims_for(&sim, 20);
-        let a_oids: BTreeSet<_> = claims[..10].iter().map(|c| c.oid).collect();
-        a.submit(claims[..10].to_vec(), 1);
-        b.submit(claims[10..].to_vec(), 11);
-        let mut got_a = BTreeSet::new();
-        while a.outstanding() > 0 {
-            if let Some(done) = a.next_completion(Duration::from_secs(5)) {
-                got_a.insert(done.claim.oid);
+        for size in [0, 4] {
+            let sim = sim();
+            let pool = Arc::new(FetchPool::new(sim.clone(), size));
+            let mut a = pool.handle();
+            let mut b = pool.handle();
+            let claims = claims_for(&sim, 20);
+            let a_oids: BTreeSet<_> = claims[..10].iter().map(|c| c.oid).collect();
+            a.submit(claims[..10].to_vec(), 1);
+            b.submit(claims[10..].to_vec(), 11);
+            let mut got_a = BTreeSet::new();
+            while a.outstanding() > 0 {
+                if let Some(done) = a.next_completion(Duration::from_secs(5)) {
+                    got_a.insert(done.claim.oid);
+                }
             }
-        }
-        assert_eq!(got_a, a_oids, "a only sees its own submissions");
-        while b.outstanding() > 0 {
-            b.next_completion(Duration::from_secs(5));
+            assert_eq!(
+                got_a, a_oids,
+                "pool {size}: a only sees its own submissions"
+            );
+            while b.outstanding() > 0 {
+                b.next_completion(Duration::from_secs(5));
+            }
         }
     }
 
@@ -371,8 +406,9 @@ mod tests {
     }
 
     /// The satellite regression: replaying one submission schedule
-    /// through pool sizes 1 and 64 injects the *identical* fault set —
-    /// chaos keys on submission ordinals, not completion order.
+    /// through pool sizes 0 (threadless), 1 and 64 injects the
+    /// *identical* fault set — chaos keys on submission ordinals, not
+    /// completion order or the thread that fetched.
     #[test]
     fn chaos_fault_set_is_identical_at_pool_sizes_1_and_64() {
         let run = |pool_size: usize| -> BTreeSet<(u64, u64)> {
@@ -401,12 +437,14 @@ mod tests {
             faults
         };
         let serial = run(1);
-        let wide = run(64);
         assert!(!serial.is_empty(), "flaky p=0.5 must inject something");
-        assert_eq!(
-            serial, wide,
-            "injected-fault set must not depend on pool size"
-        );
+        for size in [0, 64] {
+            assert_eq!(
+                run(size),
+                serial,
+                "pool {size}: injected-fault set must not depend on pool size"
+            );
+        }
     }
 
     /// Documented `ChaosSchedule::fault` purity is what the identical
@@ -435,12 +473,93 @@ mod tests {
             }
         }
         let sim = sim();
-        let pool = Arc::new(FetchPool::new(Arc::new(Bomb), 2));
+        for size in [0, 2] {
+            let pool = Arc::new(FetchPool::new(Arc::new(Bomb), size));
+            let mut h = pool.handle();
+            h.submit(claims_for(&sim, 1), 1);
+            let done = h
+                .next_completion(Duration::from_secs(5))
+                .expect("completion");
+            assert_eq!(done.outcome.unwrap_err(), "boom", "pool {size}");
+        }
+    }
+
+    /// A threadless pool fetches nothing in the background: each job
+    /// runs on the thread that drains it, in submission order, and
+    /// every job not yet drained is still cancellable.
+    #[test]
+    fn threadless_pool_fetches_on_the_draining_thread() {
+        struct Recording {
+            inner: Arc<SimFetcher>,
+            calls: std::sync::Mutex<Vec<(focus_types::Oid, u64, std::thread::ThreadId)>>,
+        }
+        impl Fetcher for Recording {
+            fn fetch(&self, oid: focus_types::Oid) -> Result<FetchedPage, FetchError> {
+                self.fetch_with_ordinal(oid, 0)
+            }
+            fn fetch_with_ordinal(
+                &self,
+                oid: focus_types::Oid,
+                ordinal: u64,
+            ) -> Result<FetchedPage, FetchError> {
+                let me = std::thread::current().id();
+                self.calls.lock().unwrap().push((oid, ordinal, me));
+                self.inner.fetch(oid)
+            }
+            fn fetch_count(&self) -> u64 {
+                self.calls.lock().unwrap().len() as u64
+            }
+        }
+        let sim = sim();
+        let rec = Arc::new(Recording {
+            inner: sim.clone(),
+            calls: std::sync::Mutex::new(Vec::new()),
+        });
+        let pool = Arc::new(FetchPool::new(rec.clone(), 0));
+        assert_eq!(pool.size(), 0);
         let mut h = pool.handle();
-        h.submit(claims_for(&sim, 1), 1);
-        let done = h
-            .next_completion(Duration::from_secs(5))
-            .expect("completion");
-        assert_eq!(done.outcome.unwrap_err(), "boom");
+        let claims = claims_for(&sim, 10);
+        h.submit(claims[..6].to_vec(), 1);
+        h.submit(claims[6..].to_vec(), 7);
+        assert!(
+            rec.calls.lock().unwrap().is_empty(),
+            "submit fetches nothing"
+        );
+
+        let mut drained = Vec::new();
+        for _ in 0..4 {
+            let done = h.next_completion(Duration::ZERO).expect("queued job");
+            drained.push((done.claim.oid, done.attempt));
+        }
+        let want: Vec<_> = claims[..4]
+            .iter()
+            .zip(1u64..)
+            .map(|(c, a)| (c.oid, a))
+            .collect();
+        assert_eq!(drained, want, "jobs drain in submission order");
+        let me = std::thread::current().id();
+        let calls = rec.calls.lock().unwrap().clone();
+        let fetched: Vec<_> = calls.iter().map(|&(oid, ord, _)| (oid, ord + 1)).collect();
+        assert_eq!(fetched, want, "one fetch per drain, ordinal = attempt - 1");
+        assert!(
+            calls.iter().all(|&(_, _, t)| t == me),
+            "fetched on the drainer"
+        );
+
+        let cancelled = h.cancel_unstarted();
+        let rest: Vec<_> = claims[4..]
+            .iter()
+            .zip(5u64..)
+            .map(|(c, a)| (c.oid, a))
+            .collect();
+        let got: Vec<_> = cancelled.iter().map(|(c, a)| (c.oid, *a)).collect();
+        assert_eq!(got, rest, "every undrained job comes back, in order");
+        assert_eq!(h.outstanding(), 0);
+        assert!(h.next_completion(Duration::ZERO).is_none());
+        assert_eq!(
+            rec.calls.lock().unwrap().len(),
+            4,
+            "cancelled jobs never fetch"
+        );
     }
 }

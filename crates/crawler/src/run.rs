@@ -241,9 +241,10 @@ pub struct StartOptions {
     /// unless overridden).
     pub retry_budget: Option<u64>,
     /// Override for the async fetch pipeline's pool size (`None` uses
-    /// [`crate::session::CrawlConfig::fetch_pool`]). `Some(0)` forces
-    /// the inline fetch path for this run; `Some(n)` spawns `n`
-    /// dedicated fetcher threads shared by the run's workers.
+    /// [`crate::session::CrawlConfig::fetch_pool`]). `Some(0)` arms a
+    /// threadless pool for this run: each worker fetches its own claims
+    /// as it drains them. `Some(n)` spawns `n` dedicated fetcher
+    /// threads shared by the run's workers.
     pub fetch_pool: Option<usize>,
     /// Override for the per-server politeness policy (`None` uses
     /// [`crate::session::CrawlConfig::politeness`]). Applying an

@@ -66,19 +66,25 @@
 //! quarantined) still marches toward cooldown expiry without
 //! wall-clock sleeps — and without ever wedging termination.
 //!
-//! **The async fetch pipeline adds only leaf locks.** With
-//! [`CrawlConfig::fetch_pool`] > 0, a run owns a
-//! [`crate::fetch_pool::FetchPool`] and each CPU worker splits its loop
-//! into a *submit* half (claim a batch under the store lock exactly as
-//! the inline path does — attempts, clock, gauges, and politeness all
-//! charge at claim time — then queue the claims to the pool) and a
-//! *drain* half (pull `(claim, result)` completions and flush each
-//! through the same classify/flush critical section). The pool's
-//! submission queue and per-worker completion mailboxes sit behind
-//! their own mutexes, but those are leaves in the lock order above:
-//! they are never taken while any session lock is held, and no session
-//! lock is ever taken under them (fetcher threads touch no session
-//! state at all). Order with pool locks spelled out:
+//! **One worker loop, over a fetch pool.** Every run owns a
+//! [`crate::fetch_pool::FetchPool`] of [`CrawlConfig::fetch_pool`]
+//! fetcher threads, and every CPU worker runs the same loop: a
+//! *submit* half (claim a batch under the store lock — attempts,
+//! clock, gauges, and politeness all charge at claim time — then queue
+//! the claims to the pool) and a *drain* half (pull `(claim, result)`
+//! completions and flush each through the classify/flush critical
+//! section). A pool of size 0 is threadless: the worker fetches each
+//! job itself when it drains it, which is the inline crawl — claim a
+//! batch, fetch/classify/flush it page by page, commit — with no
+//! second code path for pause, stop, failure flush or commit cadence.
+//!
+//! **The fetch pool adds only leaf locks.** The pool's submission
+//! queue and per-worker completion mailboxes sit behind their own
+//! mutexes, but those are leaves in the lock order above: they are
+//! never taken while any session lock is held, and no session lock is
+//! ever taken under them (fetcher threads touch no session state at
+//! all, and a threadless pool fetches only after releasing the queue).
+//! Order with pool locks spelled out:
 //! `model → compiled → store → wal → counters/diag`, with
 //! `pool queue / completion mailbox` taken only outside that chain.
 
@@ -183,12 +189,13 @@ pub struct CrawlConfig {
     /// batch-oriented access paths). Each claimed page is still fetched
     /// and classified outside the lock and flushed at its own page
     /// boundary; the batch only amortizes the B+tree descents of
-    /// claiming. 1 restores strict claim-per-page behavior. With a
-    /// fetch pool, a worker aims for a target of `max(batch_size,
-    /// ⌈2 × fetch_pool ÷ threads⌉)` jobs in flight and claims only when
+    /// claiming. 1 restores strict claim-per-page behavior. A worker
+    /// aims for a target of `max(batch_size, ⌈2 × fetch_pool ÷
+    /// threads⌉)` jobs in flight. With fetcher threads it claims once
     /// it is at least `min(batch_size, ⌈target ÷ 2⌉)` jobs short, so
-    /// every pooled claim takes a batch. Overridable per run via
-    /// [`crate::run::StartOptions::batch_size`].
+    /// every pooled claim takes a batch; with `fetch_pool == 0` it
+    /// claims the next batch only when the last one is fully landed.
+    /// Overridable per run via [`crate::run::StartOptions::batch_size`].
     pub batch_size: usize,
     /// Durability of the session store (WAL, crash recovery, replicas).
     pub durability: Durability,
@@ -204,11 +211,12 @@ pub struct CrawlConfig {
     /// fetches out of the fetch budget.
     pub retry_budget: u64,
     /// Dedicated fetcher threads for the async fetch pipeline. `0`
-    /// (the default) fetches inline on the CPU workers, exactly the
-    /// pre-pipeline behavior; with `n > 0` a run spawns `n` pool
-    /// threads and keeps up to ~2n fetches in flight so network
-    /// latency overlaps classify/flush instead of serializing with it.
-    /// Overridable per run via [`crate::run::StartOptions::fetch_pool`].
+    /// (the default) arms a threadless pool: each CPU worker fetches
+    /// its own claims, one page at a time. With `n > 0` a run spawns
+    /// `n` pool threads and keeps up to ~2n fetches in flight so
+    /// network latency overlaps classify/flush instead of serializing
+    /// with it. Overridable per run via
+    /// [`crate::run::StartOptions::fetch_pool`].
     pub fetch_pool: usize,
     /// Per-server politeness (max in-flight, min inter-admission
     /// delay), enforced at claim admission. Overridable per run via
@@ -367,8 +375,8 @@ pub struct CrawlSession {
     counters: CounterState,
     diag: OrderedMutex<RunDiag>,
     control: ControlState,
-    /// The current run's fetch pool, when [`CrawlConfig::fetch_pool`]
-    /// (or its per-run override) is non-zero. Armed at launch, torn
+    /// The current run's fetch pool, sized by [`CrawlConfig::fetch_pool`]
+    /// or its per-run override (0 = threadless). Armed at launch, torn
     /// down at wind-down; the mutex is a leaf taken only at those two
     /// points and at worker startup (to clone the `Arc`).
     run_pool: OrderedMutex<Option<Arc<FetchPool>>>,
@@ -902,10 +910,10 @@ impl CrawlSession {
     /// Apply per-run robustness overrides before the pool spawns: a
     /// backoff, breaker, or politeness override restarts the per-server
     /// health map under the new policies (servers re-earn their
-    /// quarantines), a retry-budget override refills the budget, and a
-    /// non-zero fetch-pool size arms the async fetch pipeline for this
-    /// run. No workers are alive here (`ControlState::activate`
-    /// guarantees one run at a time).
+    /// quarantines), a retry-budget override refills the budget, and
+    /// the run's fetch pool is armed (threadless when its size is 0).
+    /// No workers are alive here (`ControlState::activate` guarantees
+    /// one run at a time).
     pub(crate) fn apply_run_overrides(&self, opts: &StartOptions) {
         if opts.backoff.is_some() || opts.breaker.is_some() || opts.politeness.is_some() {
             let backoff = opts.backoff.unwrap_or(self.cfg.backoff);
@@ -917,11 +925,13 @@ impl CrawlSession {
             self.counters.retry_budget.store(rb, Ordering::Release);
         }
         let pool_size = opts.fetch_pool.unwrap_or(self.cfg.fetch_pool);
-        *self.run_pool.lock() =
-            (pool_size > 0).then(|| Arc::new(FetchPool::new(Arc::clone(&self.fetcher), pool_size)));
+        *self.run_pool.lock() = Some(Arc::new(FetchPool::new(
+            Arc::clone(&self.fetcher),
+            pool_size,
+        )));
     }
 
-    /// Tear down the run's fetch pool (if any): drop the `Arc`, which
+    /// Tear down the run's fetch pool: drop the `Arc`, which
     /// joins the fetcher threads once the workers' handles are gone.
     /// Called from the run's wind-down, after every worker has exited —
     /// the worker wind-down contract guarantees the queue is empty by
@@ -952,14 +962,16 @@ impl CrawlSession {
         self.store.write().health.reset_in_flight();
     }
 
-    /// Hand claims that will not be fetched back to the frontier
-    /// (stop or abort mid-batch): release the in-flight gauge and flip
-    /// the rows back to poppable, so the work survives for checkpoints
-    /// and the next run instead of leaking as stuck `CLAIMED` rows.
-    fn release_unfetched(&self, rest: &[Claim]) {
-        if rest.is_empty() {
+    /// Hand jobs that will not be fetched back to the frontier (stop or
+    /// abort mid-batch): release the in-flight gauge and flip the rows
+    /// back to poppable, so the work survives for checkpoints and the
+    /// next run instead of leaking as stuck `CLAIMED` rows. `attempts`
+    /// stays as counted (it is monotone by contract).
+    fn release_unfetched(&self, jobs: Vec<(Claim, u64)>) {
+        if jobs.is_empty() {
             return;
         }
+        let rest: Vec<Claim> = jobs.into_iter().map(|(c, _)| c).collect();
         let mut g = self.store.write();
         self.counters
             .in_flight
@@ -970,10 +982,10 @@ impl CrawlSession {
         // Every admitted claim charged a per-server politeness slot at
         // `HealthMap::admit`; hand those back too, keyed exactly as the
         // admission was (the claim's URL, not any fetched page's).
-        for c in rest {
+        for c in &rest {
             g.health.release(host_server_id(&c.url));
         }
-        if let Err(e) = frontier::unclaim_batch(&mut g.db, rest) {
+        if let Err(e) = frontier::unclaim_batch(&mut g.db, &rest) {
             drop(g);
             // `record_error` keeps the first error, so this cannot mask
             // the failure that aborted the run.
@@ -981,128 +993,47 @@ impl CrawlSession {
         }
     }
 
-    /// The worker loop. With a fetch pool armed for this run the worker
-    /// runs the pipelined submit/drain loop ([`worker_pooled`]);
-    /// otherwise it fetches inline, one page at a time
-    /// ([`worker_inline`]).
+    /// The worker loop, over the run's fetch pool: keep topping this
+    /// worker's jobs up toward an in-flight target (claims numbered and
+    /// gated through [`next_tick`] under the store write lock), and
+    /// drain one completion per turn through the classify/flush path.
     ///
-    /// [`worker_pooled`]: CrawlSession::worker_pooled
-    /// [`worker_inline`]: CrawlSession::worker_inline
+    /// Refill rule: the target is `max(batch, ⌈2 × pool ÷ workers⌉)`.
+    /// With fetcher threads the worker claims once the deficit below
+    /// the target reaches `min(batch, ⌈target ÷ 2⌉)` (always true with
+    /// nothing outstanding), taking up to `min(deficit, batch)` rows in
+    /// one claim: each store-write-lock claim moves a whole batch, not
+    /// the one slot the last completion freed, and fetch latency
+    /// overlaps this worker's CPU work. On a threadless pool the target
+    /// is one batch and the worker claims only with nothing
+    /// outstanding: claim a batch, fetch and land it page by page on
+    /// this thread, then cut a commit point.
+    ///
+    /// Control latency stays one *page*: commands drain every turn, a
+    /// pause cancels the queued-but-unfetched jobs immediately and only
+    /// waits out fetches already on the wire ([`park`]), and stop/abort
+    /// unwinds the same way ([`wind_down`]).
+    ///
+    /// [`next_tick`]: CrawlSession::next_tick
+    /// [`park`]: CrawlSession::park
+    /// [`wind_down`]: CrawlSession::wind_down
     pub(crate) fn worker(&self, sink: &EventSink, batch_size: usize) {
-        let pool = self.run_pool.lock().clone();
-        match pool {
-            Some(pool) => self.worker_pooled(&pool, sink, batch_size),
-            None => self.worker_inline(sink, batch_size),
-        }
-    }
-
-    /// The inline worker loop: drain control commands, honor
-    /// pause/stop, claim a small batch in one critical section, then
-    /// for each claimed page fetch (lock released), classify (lock
-    /// released), and flush the page's accumulated writes in one short
-    /// critical section at the page boundary (where steering commands
-    /// also drain).
-    fn worker_inline(&self, sink: &EventSink, batch_size: usize) {
+        let pool = self
+            .run_pool
+            .lock()
+            .clone()
+            .expect("launch arms the run's fetch pool");
         // Per-worker inference buffers: warmed up on the first page,
         // zero allocations per page after that. Never shared (the
         // `Scratch` contract), so no lock guards it.
         let mut scratch = Scratch::default();
-        loop {
-            self.control.drain(|cmd| self.apply_command(cmd, sink));
-            self.drain_exchange();
-            if self.control.abort.load(Ordering::Acquire) {
-                break;
-            }
-            if let Some(ctx) = &self.shard {
-                // A peer shard proved the whole cluster idle; nothing
-                // can repopulate any frontier, so exit.
-                if ctx.exchange.finished() {
-                    break;
-                }
-            }
-            match self.control.run_state() {
-                RunState::Stopping => break,
-                RunState::Paused => {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    continue;
-                }
-                _ => {}
-            }
-            match self.next_tick(sink, batch_size) {
-                Tick::Exit => break,
-                Tick::EmptyFrontier { idle, attempts } => {
-                    // Empty frontier: if nothing was in flight either
-                    // (judged inside the claim's critical section), the
-                    // crawl has stagnated or finished. A peer may still
-                    // be mid-fetch and about to enqueue links, so wait
-                    // rather than exit while work is in flight. In
-                    // cluster mode, locally idle is not cluster idle —
-                    // a peer shard may still route entries here — so the
-                    // verdict escalates to the exchange (the local idle
-                    // flag was already recorded by `next_tick` *inside*
-                    // the claim's critical section; recording it here
-                    // would let a concurrent landing be overwritten by
-                    // a stale verdict), and only the global
-                    // all-shards-drained verdict ends the crawl.
-                    let stagnated = idle
-                        && self
-                            .shard
-                            .as_ref()
-                            .is_none_or(|ctx| ctx.exchange.try_finish());
-                    if stagnated {
-                        if !self
-                            .control
-                            .stagnation_reported
-                            .swap(true, Ordering::AcqRel)
-                        {
-                            sink.emit(CrawlEvent::FrontierStagnated { attempts });
-                        }
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-                Tick::Work {
-                    claims,
-                    first_attempt,
-                } => {
-                    if self.process_batch(&claims, first_attempt, sink, &mut scratch) {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The pipelined worker loop over the run's fetch pool: keep
-    /// topping the submission queue up toward an in-flight target
-    /// (claims still numbered and gated through [`next_tick`], the same
-    /// budget/health critical section the inline path uses), and drain
-    /// one completion per turn through the classify/flush path — so
-    /// fetch latency overlaps this worker's CPU work instead of
-    /// serializing with it.
-    ///
-    /// Refill rule: the target is `max(batch, ⌈2 × pool ÷ workers⌉)`,
-    /// and the worker claims only when the deficit below it reaches
-    /// `min(batch, ⌈target ÷ 2⌉)` (always true with nothing
-    /// outstanding), taking up to `min(deficit, batch)` rows in one
-    /// claim. Each store-write-lock claim thus moves a whole batch, not
-    /// the one slot the last completion freed.
-    ///
-    /// Control latency stays one *page*: commands drain every turn, a
-    /// pause cancels the queued-but-unfetched jobs immediately and only
-    /// waits out fetches already on the wire, and stop/abort unwinds
-    /// the same way ([`wind_down_pooled`]).
-    ///
-    /// [`next_tick`]: CrawlSession::next_tick
-    /// [`wind_down_pooled`]: CrawlSession::wind_down_pooled
-    fn worker_pooled(&self, pool: &Arc<FetchPool>, sink: &EventSink, batch_size: usize) {
-        let mut scratch = Scratch::default();
         let mut handle = pool.handle();
-        // Failed fetches accumulate here and flush in one critical
-        // section, exactly as in the inline batch path.
+        // Failed fetches accumulate here and flush in *one* critical
+        // section — before the next success lands, and at every commit
+        // point — so an error storm from a down server costs one B+tree
+        // pass, not one per page.
         let mut pending: Vec<(Claim, FetchErrorKind, u64)> = Vec::new();
-        // Completions landed since the last commit point; the commit
-        // cadence below mirrors the inline path's batch boundary.
+        // Completions landed since the last commit point.
         let mut since_commit = 0usize;
         let batch = batch_size.max(1);
         // Split the pool's capacity across this run's workers, keeping
@@ -1111,9 +1042,12 @@ impl CrawlSession {
         // a tiny pool would defeat batching.
         let workers = self.cfg.threads.max(1);
         let target = batch.max((pool.size() * 2).div_ceil(workers));
-        // The refill rule in the doc above: claim whole batches, never
-        // one store-write-lock claim per freed slot.
-        let refill_at = batch.min(target.div_ceil(2));
+        // The refill rule in the doc above.
+        let refill_at = if pool.size() == 0 {
+            target
+        } else {
+            batch.min(target.div_ceil(2))
+        };
         loop {
             self.control.drain(|cmd| self.apply_command(cmd, sink));
             self.drain_exchange();
@@ -1131,7 +1065,7 @@ impl CrawlSession {
                 }
             }
             if self.control.run_state() == RunState::Paused {
-                self.pause_pooled(&mut handle, &mut pending, sink, &mut scratch);
+                self.park(&mut handle, &mut pending, sink, &mut scratch);
                 continue;
             }
             // Top up the pipeline toward the in-flight target.
@@ -1142,19 +1076,20 @@ impl CrawlSession {
                         // Budget spent (or a fatal claim error): stop
                         // feeding the queue. Whatever is already on the
                         // wire still completes and flushes below.
-                        if handle.outstanding() == 0 && pending.is_empty() {
+                        if handle.outstanding() == 0 {
                             break;
                         }
                     }
                     Tick::EmptyFrontier { idle, attempts } => {
                         if handle.outstanding() == 0 {
-                            // Land trailing failures before judging
-                            // idleness: they hold the in-flight gauge up
-                            // (vetoing the verdict) and may requeue rows.
-                            if !pending.is_empty() {
-                                self.flush_failures_standalone(&mut pending, sink);
-                                continue;
-                            }
+                            // A drained pipeline is a commit point, so
+                            // no failure is pending either: `idle` (judged
+                            // inside the claim's critical section) covers
+                            // all of this worker's work. In cluster mode
+                            // locally idle is not cluster idle — a peer
+                            // may still route entries here — so only the
+                            // all-shards-drained verdict ends the crawl.
+                            debug_assert!(pending.is_empty());
                             let stagnated = idle
                                 && self
                                     .shard
@@ -1190,7 +1125,9 @@ impl CrawlSession {
                     if self.process_completion(done, &mut pending, sink, &mut scratch) {
                         break;
                     }
-                    if since_commit < batch {
+                    // A drained pipeline ends a batch, as does the
+                    // `batch`-th completion since the last point.
+                    if since_commit < batch && handle.outstanding() > 0 {
                         continue;
                     }
                     // Fall through to the commit point below.
@@ -1198,10 +1135,13 @@ impl CrawlSession {
                 None if since_commit == 0 && pending.is_empty() => continue,
                 None => {}
             }
-            // Batch-boundary analogue: a quiet turn (or `batch`
-            // completions since the last point) lands trailing failures
-            // and cuts a WAL commit point, the same cadence the inline
-            // path gets for free at its batch boundary.
+            // Batch boundary (or a quiet turn): land trailing failures,
+            // then cut a WAL commit point so the batch's pages are
+            // recoverable (fsync cadence follows the group-commit
+            // quota; the run's final commit forces the last sync).
+            // Write-ahead discipline means the pages themselves may
+            // already be in the log — this makes them part of the
+            // committed prefix.
             since_commit = 0;
             let mut g = self.store.write();
             let res = self
@@ -1213,15 +1153,14 @@ impl CrawlSession {
                 break;
             }
         }
-        self.wind_down_pooled(&mut handle, &mut pending, sink, &mut scratch);
+        self.wind_down(&mut handle, &mut pending, sink, &mut scratch);
     }
 
-    /// Land one pool completion through the same classify/flush path
-    /// the inline loop uses. Returns `true` when the worker should wind
-    /// down (a storage error was recorded). A completion carrying a
-    /// fetcher panic is re-raised here, on the worker thread, so it
-    /// surfaces through the existing worker-panic machinery exactly as
-    /// an inline fetch panic would.
+    /// Land one completion through the classify/flush path. Returns
+    /// `true` when the worker should wind down (a storage error was
+    /// recorded). A completion carrying a fetcher panic is re-raised
+    /// here, on the worker thread, so it surfaces through the
+    /// worker-panic machinery whichever thread ran the fetch.
     fn process_completion(
         &self,
         done: Completion,
@@ -1238,11 +1177,16 @@ impl CrawlSession {
             Ok(r) => r,
             Err(msg) => panic!("fetch pool: {msg}"),
         };
-        // Classify outside every lock — same engine-Arc discipline as
-        // the inline path (`process_batch` documents it).
+        // Classify without holding *any* lock: clone the compiled
+        // engine's Arc (a refcount bump under a momentary read lock),
+        // drop the lock, then run zero-alloc inference in this worker's
+        // scratch. A concurrent retrain swaps the Arc without waiting
+        // for us; this page finishes under the model it started with.
         let eval = result.as_ref().ok().map(|page| {
             let compiled = Arc::clone(&self.compiled.read());
             let summary = compiled.evaluate_into(&page.terms, scratch);
+            // Saved posteriors back §3.7 re-marking; the tail below the
+            // floor adds nothing. Filtered here, outside the store lock.
             let saved: Vec<(ClassId, f64)> = scratch
                 .class_probs()
                 .iter()
@@ -1253,8 +1197,9 @@ impl CrawlSession {
         });
         match result {
             Err(e) => {
-                // Failures join the pending flush; the claim stays in
-                // flight (gauge and row) until the flush lands it.
+                // No lock taken for a failure: it joins the pending
+                // flush. The claim stays in flight (gauge and row both)
+                // until the flush lands it.
                 pending.push((claim, FetchErrorKind::from(&e), attempt));
                 false
             }
@@ -1263,9 +1208,14 @@ impl CrawlSession {
                 let res = self
                     .flush_failures(&mut g, pending, sink)
                     .and_then(|()| self.process(&mut g, &claim, Ok(page), eval, attempt, sink));
-                // Gauge discipline identical to the inline path: the
-                // decrement happens under the write lock, after the
-                // page's outlinks are in the frontier (local or routed).
+                // The gauge falls only after the page's outlinks are in
+                // the frontier (still under the write lock): a peer
+                // observing `in_flight == 0` with an empty frontier can
+                // trust it. In cluster mode the same applies to the
+                // global gauge — `process` routed this page's remote
+                // outlinks *before* this decrement, so a peer shard
+                // observing zero global in-flight is guaranteed to see
+                // them in `queued`.
                 self.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
                 if let Some(ctx) = &self.shard {
                     ctx.exchange.sub_in_flight(1);
@@ -1280,18 +1230,19 @@ impl CrawlSession {
         }
     }
 
-    /// Park the pooled pipeline for a pause: pull the
-    /// queued-but-unfetched jobs back out of the submission queue (no
-    /// further fetches issue; the claims keep their attempt numbers, so
-    /// `attempts` stays flat exactly as the pause contract promises),
-    /// drain the fetches already on the wire and land them normally,
-    /// then spin at the park point — commands still apply and routed
-    /// entries still land, so pause-then-checkpoint captures
-    /// cross-shard work. On resume the held jobs are resubmitted with
-    /// their original attempt numbers (their chaos ordinals are
-    /// unchanged by the round-trip); on stop-while-paused they are
-    /// handed back to the frontier instead.
-    fn pause_pooled(
+    /// Park the worker for a pause: pull the queued-but-unfetched jobs
+    /// back out of the submission queue (no further fetches issue; the
+    /// claims keep their attempt numbers, so `attempts` stays flat
+    /// exactly as the pause contract promises), land the fetches
+    /// already on the wire, then spin at the park point — commands
+    /// still apply and routed entries still land, so a paused cluster
+    /// drains its exchange and pause-then-checkpoint captures
+    /// cross-shard work instead of leaving it in inboxes no snapshot
+    /// covers. On resume the held jobs are resubmitted with their
+    /// original attempt numbers (their chaos ordinals are unchanged by
+    /// the round-trip); on stop-while-paused they are handed back to
+    /// the frontier instead.
+    fn park(
         &self,
         handle: &mut PoolHandle,
         pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
@@ -1299,14 +1250,7 @@ impl CrawlSession {
         scratch: &mut Scratch,
     ) {
         let held = handle.cancel_unstarted();
-        while handle.outstanding() > 0 {
-            if let Some(done) = handle.next_completion(std::time::Duration::from_millis(5)) {
-                // On a storage error the run is already aborting; keep
-                // draining so no completion is abandoned in the mailbox.
-                let _ = self.process_completion(done, pending, sink, scratch);
-            }
-        }
-        self.flush_failures_standalone(pending, sink);
+        self.land_in_flight(handle, pending, sink, scratch);
         while self.control.run_state() == RunState::Paused
             && !self.control.abort.load(Ordering::Acquire)
         {
@@ -1317,38 +1261,24 @@ impl CrawlSession {
         if self.control.abort.load(Ordering::Acquire)
             || self.control.run_state() == RunState::Stopping
         {
-            let claims: Vec<Claim> = held.into_iter().map(|(c, _)| c).collect();
-            self.release_unfetched(&claims);
+            self.release_unfetched(held);
             return;
         }
         handle.resubmit(held);
     }
 
-    /// Unwind the pooled pipeline on any worker exit: unclaim the
-    /// queued-but-unfetched jobs (they go back to the frontier, the
-    /// same contract as the inline path's unfetched batch remainder),
-    /// drain the fetches already on the wire and land them
-    /// (completed-then-flushed — those claims burned attempts and
-    /// cannot be handed back), then flush trailing failures and cut a
-    /// final commit point.
-    fn wind_down_pooled(
+    /// Unwind the worker on any exit: hand the queued-but-unfetched
+    /// jobs back to the frontier, land the fetches already on the wire,
+    /// then cut a final commit point.
+    fn wind_down(
         &self,
         handle: &mut PoolHandle,
         pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
         sink: &EventSink,
         scratch: &mut Scratch,
     ) {
-        let unstarted = handle.cancel_unstarted();
-        let claims: Vec<Claim> = unstarted.into_iter().map(|(c, _)| c).collect();
-        self.release_unfetched(&claims);
-        while handle.outstanding() > 0 {
-            if let Some(done) = handle.next_completion(std::time::Duration::from_millis(5)) {
-                // `record_error` keeps the first error; keep draining so
-                // every claim's gauge and row are accounted for.
-                let _ = self.process_completion(done, pending, sink, scratch);
-            }
-        }
-        self.flush_failures_standalone(pending, sink);
+        self.release_unfetched(handle.cancel_unstarted());
+        self.land_in_flight(handle, pending, sink, scratch);
         let mut g = self.store.write();
         if let Err(e) = Self::commit_if_durable(&mut g.db) {
             drop(g);
@@ -1356,142 +1286,33 @@ impl CrawlSession {
         }
     }
 
-    /// Process one claimed batch: fetch + classify each page outside the
-    /// lock, flush its writes in one short critical section, and honor
-    /// control at every *page* boundary — pause parks here (claims held,
-    /// no further fetches), stop hands the unfetched remainder back to
-    /// the frontier via [`frontier::unclaim_batch`], so pause/stop
-    /// latency stays one page, not one batch. Returns `true` when the
-    /// worker should exit its loop.
-    fn process_batch(
+    /// Land everything this worker still has in flight: drain each
+    /// fetch already on the wire through the classify/flush path
+    /// (completed-then-flushed — those claims burned attempts and
+    /// cannot be handed back), then flush the pending failures. A
+    /// storage error is recorded (`record_error` keeps the first) and
+    /// draining goes on, so every claim's gauge and row are accounted
+    /// for.
+    fn land_in_flight(
         &self,
-        claims: &[Claim],
-        first_attempt: u64,
+        handle: &mut PoolHandle,
+        pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
         sink: &EventSink,
         scratch: &mut Scratch,
-    ) -> bool {
-        // Failed fetches accumulate here and flush in *one* critical
-        // section — before the next success lands, at stop/abort, and
-        // at the batch boundary — so an error storm from a down server
-        // costs one B+tree pass, not one per page.
-        let mut pending: Vec<(Claim, FetchErrorKind, u64)> = Vec::new();
-        let mut i = 0usize;
-        while i < claims.len() {
-            let claim = &claims[i];
-            let attempt = first_attempt + i as u64;
-            // Fetch without holding the lock (network latency). The
-            // submission ordinal is the claim's attempt number minus
-            // one — assigned under the store lock at claim time, so
-            // chaos schedules keyed on it replay identically whether
-            // the fetch runs inline here or on a pool thread.
-            let result = self.fetcher.fetch_with_ordinal(claim.oid, attempt - 1);
-            // Classify without holding *any* lock: clone the compiled
-            // engine's Arc (a refcount bump under a momentary read
-            // lock), drop the lock, then run zero-alloc inference in
-            // this worker's scratch. A concurrent retrain swaps the Arc
-            // without waiting for us; this page finishes under the
-            // model it started with.
-            let eval = result.as_ref().ok().map(|page| {
-                let compiled = Arc::clone(&self.compiled.read());
-                let summary = compiled.evaluate_into(&page.terms, scratch);
-                // Saved posteriors back §3.7 re-marking; the tail below
-                // the floor adds nothing. Filtered here, outside the
-                // store lock.
-                let saved: Vec<(ClassId, f64)> = scratch
-                    .class_probs()
-                    .iter()
-                    .copied()
-                    .filter(|&(_, p)| p > SAVED_PROB_FLOOR)
-                    .collect();
-                (summary, saved)
-            });
-            match result {
-                Err(e) => {
-                    // No lock taken for a failure: it joins the pending
-                    // flush. The claim stays in flight (gauge and row
-                    // both) until the flush lands it.
-                    pending.push((claim.clone(), FetchErrorKind::from(&e), attempt));
-                }
-                Ok(page) => {
-                    let mut g = self.store.write();
-                    let res = self
-                        .flush_failures(&mut g, &mut pending, sink)
-                        .and_then(|()| self.process(&mut g, claim, Ok(page), eval, attempt, sink));
-                    // The gauge falls only after the page's outlinks are
-                    // in the frontier (still under the write lock): a
-                    // peer observing `in_flight == 0` with an empty
-                    // frontier can trust it. In cluster mode the same
-                    // applies to the global gauge — `process` routed
-                    // this page's remote outlinks *before* this
-                    // decrement, so a peer shard observing zero global
-                    // in-flight is guaranteed to see them in `queued`.
-                    self.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    if let Some(ctx) = &self.shard {
-                        ctx.exchange.sub_in_flight(1);
-                    }
-                    if let Err(e) = res {
-                        drop(g);
-                        self.record_error(e);
-                        self.release_unfetched(&claims[i + 1..]);
-                        return true;
-                    }
-                    drop(g);
-                }
-            }
-            i += 1;
-            // Page boundary inside the batch: steering commands take
-            // effect between pages, not only between batches — and
-            // cross-shard entries land here with the same latency.
-            self.control.drain(|cmd| self.apply_command(cmd, sink));
-            self.drain_exchange();
-            // A pause parks right here, with the batch remainder checked
-            // out but no further fetches issued (attempts stay flat, as
-            // the pause contract promises). Commands still apply and
-            // routed entries still land while parked — a paused cluster
-            // drains its exchange, so pause-then-checkpoint captures
-            // cross-shard work instead of leaving it in inboxes no
-            // snapshot covers.
-            while self.control.run_state() == RunState::Paused
-                && !self.control.abort.load(Ordering::Acquire)
-            {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                self.control.drain(|cmd| self.apply_command(cmd, sink));
-                self.drain_exchange();
-            }
-            // Abort (a peer failed) and stop both end the batch at this
-            // page boundary; either way the unfetched remainder goes
-            // back to the frontier. `attempts` stays as counted (it is
-            // monotone by contract); only the in-flight gauge is
-            // released.
-            if self.control.abort.load(Ordering::Acquire)
-                || self.control.run_state() == RunState::Stopping
-            {
-                // The fetched-and-failed prefix must still land — those
-                // claims were *used* (they burned attempts) and cannot
-                // be handed back as unfetched.
-                self.flush_failures_standalone(&mut pending, sink);
-                self.release_unfetched(&claims[i..]);
-                return true;
+    ) {
+        while handle.outstanding() > 0 {
+            if let Some(done) = handle.next_completion(std::time::Duration::from_millis(5)) {
+                let _ = self.process_completion(done, pending, sink, scratch);
             }
         }
-        // Batch boundary: land any trailing failures, then cut a WAL
-        // commit point so the batch's pages are recoverable (fsync
-        // cadence follows the group-commit quota; the wind-down commit
-        // forces the last sync). Write-ahead discipline means the pages
-        // themselves may already be in the log — this just makes them
-        // part of the committed prefix.
-        {
-            let mut g = self.store.write();
-            let res = self
-                .flush_failures(&mut g, &mut pending, sink)
-                .and_then(|()| Self::commit_if_durable(&mut g.db));
-            if let Err(e) = res {
-                drop(g);
-                self.record_error(e);
-                return true;
-            }
+        if pending.is_empty() {
+            return;
         }
-        false
+        let mut g = self.store.write();
+        if let Err(e) = self.flush_failures(&mut g, pending, sink) {
+            drop(g);
+            self.record_error(e);
+        }
     }
 
     /// Flush accumulated batch failures under an already-held store
@@ -1518,23 +1339,6 @@ impl CrawlSession {
             ctx.exchange.sub_in_flight(n);
         }
         res
-    }
-
-    /// [`CrawlSession::flush_failures`] for exit paths that do not
-    /// already hold the store lock.
-    fn flush_failures_standalone(
-        &self,
-        pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
-        sink: &EventSink,
-    ) {
-        if pending.is_empty() {
-            return;
-        }
-        let mut g = self.store.write();
-        if let Err(e) = self.flush_failures(&mut g, pending, sink) {
-            drop(g);
-            self.record_error(e);
-        }
     }
 
     /// Claim the next batch of work, or decide why there is none. The
@@ -1986,7 +1790,7 @@ impl CrawlSession {
             ),
             Ok(page) => {
                 // A successful fetch is always classified by
-                // `process_batch`; if the evaluation is missing anyway
+                // `process_completion`; if the evaluation is missing anyway
                 // (an invariant break upstream), record the attempt as
                 // a retriable failure rather than panicking the worker
                 // — the page stays in the frontier and the pool stays

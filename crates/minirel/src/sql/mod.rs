@@ -10,7 +10,7 @@
 //!   SELECTs — it pushes predicates into scans, prunes columns, reorders
 //!   equi-joins, picks B+tree access paths, and produces cacheable
 //!   [`lower::ExecPlan`]s for prepared statements;
-//! * the reference interpreter ([`reference`]) runs DML/DDL and doubles
+//! * the reference interpreter ([`mod@reference`]) runs DML/DDL and doubles
 //!   as the correctness oracle the planner-equivalence suite compares
 //!   the pipeline against.
 

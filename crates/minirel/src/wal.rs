@@ -3,13 +3,14 @@
 //! minirel runs a **no-steal, page-image redo log** in the style of
 //! SQLite's WAL mode: the data file is written *only* at checkpoints,
 //! never by ordinary page traffic. A dirty page leaving the buffer pool
-//! (eviction, `flush_all`, commit) appends a checksummed [`PageImage`]
-//! record here instead, and an in-memory page index (pid → log offset)
-//! makes the newest image readable again on a pool miss. A [`Commit`]
-//! record carries the full catalog image plus the data-file page count,
-//! marking everything before it as the recoverable state; records after
-//! the last valid commit are discarded on recovery (torn-tail
-//! truncation via checksum).
+//! (eviction, `flush_all`, commit) appends a checksummed page-image
+//! ([`KIND_PAGE_IMAGE`]) record here instead, and an in-memory page
+//! index (pid → log offset) makes the newest image readable again on a
+//! pool miss. A commit ([`KIND_COMMIT`]) record carries the full
+//! catalog image plus the data-file page count, marking everything
+//! before it as the recoverable state; records after the last valid
+//! commit are discarded on recovery (torn-tail truncation via
+//! checksum).
 //!
 //! ## Record format
 //!

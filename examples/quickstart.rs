@@ -52,8 +52,7 @@ fn main() {
     );
 
     // Start a controllable background run, watch its event stream live,
-    // then join for the classic batch outcome. (`discover(&seeds)` still
-    // works and is exactly `start(&seeds)?.join()`.)
+    // then join for the classic batch outcome.
     let mut run = system.start(&seeds).expect("crawl starts");
     let events = run.take_events().expect("event stream");
     let mut ticks = 0u64;

@@ -150,10 +150,11 @@ fn discovery_is_robust_to_bad_seeds() {
     let mut seeds = focus::search::topic_start_set(&graph, topic, 5);
     seeds.push(focus::Oid(0xDEAD_BEEF));
     seeds.push(focus::Oid(0xBAD_F00D));
-    // The deprecated batch API must stay source-compatible: this test
-    // intentionally goes through discover() (= start()?.join()).
-    #[allow(deprecated)]
-    let outcome = system.discover(&seeds).expect("runs despite dead seeds");
+    // The classic blocking discovery: start, then join for the outcome.
+    let outcome = system
+        .start(&seeds)
+        .and_then(|run| run.join())
+        .expect("runs despite dead seeds");
     assert!(outcome.stats.successes > 10);
     assert!(
         outcome.stats.failures >= 2,
