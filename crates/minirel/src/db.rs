@@ -207,8 +207,9 @@ impl Database {
 
     /// Open (or create) a durable database at `path`, with its WAL at
     /// `path + ".wal"`. An existing pair is **recovered**: the log's
-    /// valid prefix is replayed into the data file up to the last
-    /// commit (redo-on-open; a torn tail is truncated by checksum), the
+    /// valid prefix is streamed into the data file one commit group at
+    /// a time, up to the last commit (redo-on-open; a torn tail is
+    /// truncated by checksum; see [`recovery::replay_from`]), the
     /// catalog comes from that commit, and the log is rotated — the
     /// fresh log is written beside the old one and atomically renamed
     /// over it, so a crash mid-rotation still leaves one valid log.
@@ -233,8 +234,7 @@ impl Database {
         }
         let mut disk = DiskManager::at_path(path)?;
         let (catalog, next_lsn) = if wal_path.exists() {
-            let bytes = std::fs::read(&wal_path).map_err(|e| DbError::io("read", &wal_path, e))?;
-            match recovery::replay_into(&mut disk, &bytes)? {
+            match recovery::replay_from(&mut disk, recovery::open_log(&wal_path)?)? {
                 Some(rec) => {
                     disk.sync_all()?;
                     (rec.catalog, rec.last_lsn + 1)

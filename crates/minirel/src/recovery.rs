@@ -6,13 +6,15 @@
 //! in the WAL as page images, and each [`crate::wal::KIND_COMMIT`]
 //! record carries a full **catalog image** (schemas, heap page lists,
 //! B+tree roots — metadata that is otherwise in-memory only). Recovery
-//! is therefore a single forward pass: scan the valid, checksummed
-//! prefix of the log, find the last Commit, install every page image up
-//! to it into the data file, and adopt that commit's catalog. Records
-//! past the last commit — a torn tail, an unfinished batch — are
-//! discarded. Replaying is **idempotent**: images are whole-page writes
-//! applied in log order, so running recovery twice lands on the same
-//! bytes.
+//! is therefore a single forward pass over a stream of the log's valid,
+//! checksummed prefix ([`replay_from`]), one commit group at a time:
+//! page images are staged until the Commit that covers them, which
+//! installs them into the data file in log order, and the last
+//! Commit's catalog is adopted. Images past the last commit — a torn
+//! tail, an unfinished batch — are dropped uninterpreted. Memory is
+//! bounded by one commit group, never by the log. Replaying is
+//! **idempotent**: images are whole-page writes applied in log order,
+//! so running recovery twice lands on the same bytes.
 //!
 //! # Replication
 //!
@@ -25,9 +27,13 @@
 //!   the follower's write lock, so readers always see a consistent
 //!   commit boundary.
 //! * [`Replica::tail_file`] (cross-process): replays the leader's
-//!   data + WAL files, then polls the WAL file for newly committed
-//!   records. Valid for the duration of one leader run (a leader
-//!   restart rotates the log and the tailer reports an error).
+//!   data + WAL files, then polls the WAL file, reading only the bytes
+//!   past the last applied commit. Valid for the duration of one
+//!   leader run (a leader restart rotates the log and the tailer
+//!   reports an error).
+//!
+//! All three paths share one staging rule (`CommitGroup`: images wait
+//! for their commit) over one record reader ([`RecordReader`]).
 //!
 //! **Staleness contract**: a replica lags the leader by at most the
 //! in-flight commit chunk (channel mode) or one poll interval (file
@@ -42,8 +48,10 @@ use crate::error::{DbError, DbResult};
 use crate::heap::HeapFile;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::schema::{Column, ColumnType, Schema};
-use crate::wal::{self, Record, KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_IMAGE};
+use crate::wal::{RecordReader, RecordRef, KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_IMAGE};
 use lockcheck::{rank, OrderedMutex, OrderedRwLock};
+use std::fs::File;
+use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -230,7 +238,7 @@ pub struct Recovered {
     pub applied_end: u64,
 }
 
-fn parse_page_image(payload: &[u8]) -> DbResult<(PageId, &[u8])> {
+fn parse_page_image(payload: &[u8]) -> DbResult<(PageId, &[u8; PAGE_SIZE])> {
     if payload.len() != 4 + PAGE_SIZE {
         return Err(DbError::Corrupt(format!(
             "page-image payload of {} bytes (want {})",
@@ -239,7 +247,7 @@ fn parse_page_image(payload: &[u8]) -> DbResult<(PageId, &[u8])> {
         )));
     }
     let pid = u32::from_le_bytes(payload[0..4].try_into().expect("4"));
-    Ok((pid, &payload[4..]))
+    Ok((pid, payload[4..].try_into().expect("length checked")))
 }
 
 fn parse_commit(payload: &[u8]) -> DbResult<(u32, &[u8])> {
@@ -252,48 +260,83 @@ fn parse_commit(payload: &[u8]) -> DbResult<(u32, &[u8])> {
     Ok((num_pages, &payload[4..]))
 }
 
-/// Redo the log onto `disk`: install every committed page image (in log
-/// order) and return the last commit's catalog. `Ok(None)` when the log
-/// holds no commit at all (fresh database). Idempotent — a second call
-/// over the same inputs rewrites identical bytes.
-pub fn replay_into(disk: &mut DiskManager, wal_bytes: &[u8]) -> DbResult<Option<Recovered>> {
-    let (records, _valid) = wal::scan_records(wal_bytes);
-    // Locate the last commit; everything after it is an unacknowledged
-    // tail and must not touch the data file.
-    let last_commit = records.iter().rposition(|r| r.kind == KIND_COMMIT);
-    let Some(last_commit) = last_commit else {
-        return Ok(None);
-    };
-    let mut applied_end = 0u64;
-    let mut off = 0u64;
-    let mut commit_state: Option<(u32, &[u8], u64)> = None;
-    for (i, rec) in records.iter().enumerate() {
-        let rec_len = (wal::RECORD_HEADER + rec.payload.len()) as u64;
-        off += rec_len;
-        if i > last_commit {
-            break;
-        }
-        match rec.kind {
+/// Page images staged until the commit that covers them lands: the one
+/// rule recovery and both replica modes share. Payloads wait
+/// uninterpreted (an image no commit covers is never parsed), back to
+/// back in one buffer reused from group to group.
+#[derive(Default)]
+struct CommitGroup {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl CommitGroup {
+    /// Feed one record. A page image is staged; a Commit returns its
+    /// `(num_pages, catalog image)`, and the caller then installs the
+    /// group with [`CommitGroup::install`]; a Checkpoint changes nothing.
+    fn feed<'p>(&mut self, kind: u8, payload: &'p [u8]) -> DbResult<Option<(u32, &'p [u8])>> {
+        match kind {
             KIND_PAGE_IMAGE => {
-                let (pid, img) = parse_page_image(&rec.payload)?;
-                let buf: &[u8; PAGE_SIZE] =
-                    img.try_into().expect("length checked by parse_page_image");
-                disk.write_ensure(pid, buf)?;
+                self.bytes.extend_from_slice(payload);
+                self.ends.push(self.bytes.len());
+                Ok(None)
             }
-            KIND_COMMIT => {
-                let (num_pages, cat) = parse_commit(&rec.payload)?;
-                commit_state = Some((num_pages, cat, rec.lsn));
-                applied_end = off;
-            }
-            KIND_CHECKPOINT => {
-                applied_end = off;
-            }
-            _ => unreachable!("scan_records only yields known kinds"),
+            KIND_COMMIT => parse_commit(payload).map(Some),
+            KIND_CHECKPOINT => Ok(None),
+            _ => unreachable!("the record reader only yields known kinds"),
         }
     }
-    let (num_pages, cat_bytes, last_lsn) =
-        commit_state.expect("last_commit index guarantees a commit was seen");
-    let catalog = decode_catalog(cat_bytes)?;
+
+    /// Hand every staged image to `write` in log order, then empty the
+    /// group.
+    fn install(
+        &mut self,
+        mut write: impl FnMut(PageId, &[u8; PAGE_SIZE]) -> DbResult<()>,
+    ) -> DbResult<()> {
+        let mut start = 0;
+        for &end in &self.ends {
+            let (pid, img) = parse_page_image(&self.bytes[start..end])?;
+            write(pid, img)?;
+            start = end;
+        }
+        self.clear();
+        Ok(())
+    }
+
+    /// Drop the staged images: a tail no commit covers (yet).
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+}
+
+/// Redo the log read from `wal` onto `disk` in one forward pass, one
+/// commit group at a time: each Commit installs the page images staged
+/// since the previous one, in log order, and the images past the last
+/// commit are dropped. Memory is bounded by one commit group, not by
+/// the log. Returns the last commit's catalog; `Ok(None)` when the log
+/// holds no commit at all (fresh database). Reading stops at the first
+/// truncated or corrupt record (the torn tail); only an I/O error from
+/// `wal` fails the replay. Idempotent — a second call over the same
+/// inputs rewrites identical bytes.
+pub fn replay_from(disk: &mut DiskManager, wal: impl Read) -> DbResult<Option<Recovered>> {
+    let mut records = RecordReader::new(wal);
+    let mut group = CommitGroup::default();
+    let mut catalog = Vec::new();
+    // (num_pages, lsn, end offset) of the last commit seen.
+    let mut last = None;
+    while let Some(rec) = records.next_valid()? {
+        if let Some((num_pages, cat)) = group.feed(rec.kind, rec.payload)? {
+            group.install(|pid, img| disk.write_ensure(pid, img))?;
+            catalog.clear();
+            catalog.extend_from_slice(cat);
+            last = Some((num_pages, rec.lsn, rec.end));
+        }
+    }
+    let Some((num_pages, last_lsn, applied_end)) = last else {
+        return Ok(None);
+    };
+    let catalog = decode_catalog(&catalog)?;
     // The commit may reference pages the crash kept the data file from
     // ever growing to (e.g. allocated, logged, never checkpointed).
     if num_pages > 0 {
@@ -311,9 +354,26 @@ pub fn replay_into(disk: &mut DiskManager, wal_bytes: &[u8]) -> DbResult<Option<
     }))
 }
 
-fn count_checkpoints(wal_bytes: &[u8]) -> u64 {
-    let (records, _) = wal::scan_records(wal_bytes);
-    records.iter().filter(|r| r.kind == KIND_CHECKPOINT).count() as u64
+/// [`replay_from`] over a log already in memory.
+pub fn replay_into(disk: &mut DiskManager, wal_bytes: &[u8]) -> DbResult<Option<Recovered>> {
+    replay_from(disk, wal_bytes)
+}
+
+/// Open the WAL at `path` for a buffered forward read.
+pub(crate) fn open_log(path: &Path) -> DbResult<BufReader<File>> {
+    File::open(path)
+        .map(BufReader::new)
+        .map_err(|e| DbError::io("open", path, e))
+}
+
+/// Checkpoint markers in the valid prefix of the WAL at `path`.
+fn count_checkpoints(path: &Path) -> DbResult<u64> {
+    let mut records = RecordReader::new(open_log(path)?);
+    let mut n = 0;
+    while let Some(rec) = records.next_valid()? {
+        n += u64::from(rec.kind == KIND_CHECKPOINT);
+    }
+    Ok(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -339,36 +399,58 @@ pub struct Replica {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Applies one record to the follower; images buffer in `pending` until
-/// the commit that covers them lands, then install atomically.
+/// Applies one record to the follower: a commit installs its staged
+/// group and its catalog atomically.
 fn apply_record(
     shared: &ReplicaShared,
-    pending: &mut Vec<(PageId, Vec<u8>)>,
-    rec: &Record,
+    group: &mut CommitGroup,
+    rec: RecordRef<'_>,
 ) -> DbResult<()> {
-    match rec.kind {
-        KIND_PAGE_IMAGE => {
-            let (pid, img) = parse_page_image(&rec.payload)?;
-            pending.push((pid, img.to_vec()));
-        }
-        KIND_COMMIT => {
-            let (_num_pages, cat) = parse_commit(&rec.payload)?;
-            let catalog = decode_catalog(cat)?;
-            // One write-lock hold for pages AND catalog: a reader must
-            // never see new page bytes through the old catalog.
-            let mut db = shared.db.write();
-            for (pid, img) in pending.drain(..) {
-                let buf: &[u8; PAGE_SIZE] = img.as_slice().try_into().expect("checked");
-                db.install_page(pid, buf)?;
-            }
-            db.replace_catalog(catalog);
-            drop(db);
-            shared.applied_lsn.store(rec.lsn, Ordering::Release);
-        }
-        KIND_CHECKPOINT => {}
-        _ => unreachable!("scan_records only yields known kinds"),
-    }
+    let Some((_num_pages, cat)) = group.feed(rec.kind, rec.payload)? else {
+        return Ok(());
+    };
+    let catalog = decode_catalog(cat)?;
+    // One write-lock hold for pages AND catalog: a reader must never
+    // see new page bytes through the old catalog.
+    let mut db = shared.db.write();
+    group.install(|pid, img| db.install_page(pid, img))?;
+    db.replace_catalog(catalog);
+    drop(db);
+    shared.applied_lsn.store(rec.lsn, Ordering::Release);
     Ok(())
+}
+
+/// One poll of a file-tailing replica: apply the whole commit groups the
+/// WAL at `wal_path` holds past `offset`, reading only those bytes, and
+/// return the offset just past the last Commit/Checkpoint applied. The
+/// file is opened by path each time, so a rotation (a rename over the
+/// path) is seen: a log shorter than `offset` ends the stream.
+fn poll_tail(
+    shared: &ReplicaShared,
+    group: &mut CommitGroup,
+    wal_path: &Path,
+    offset: u64,
+) -> Result<u64, String> {
+    // Images the last poll staged without their commit lie past
+    // `offset`: they are re-read with it this time.
+    group.clear();
+    let read_err = |e: std::io::Error| format!("tail read {}: {e}", wal_path.display());
+    let mut file = File::open(wal_path).map_err(read_err)?;
+    if file.metadata().map_err(read_err)?.len() < offset {
+        // The log shrank: the leader restarted and rotated. This
+        // follower's stream is over.
+        return Err("wal rotated under the tailing replica".into());
+    }
+    file.seek(SeekFrom::Start(offset)).map_err(read_err)?;
+    let mut records = RecordReader::new(BufReader::new(file));
+    let mut consumed = offset;
+    while let Some(rec) = records.next_valid().map_err(|e| e.to_string())? {
+        apply_record(shared, group, rec).map_err(|e| e.to_string())?;
+        if matches!(rec.kind, KIND_COMMIT | KIND_CHECKPOINT) {
+            consumed = offset + rec.end;
+        }
+    }
+    Ok(consumed)
 }
 
 impl Replica {
@@ -398,13 +480,13 @@ impl Replica {
         let handle = std::thread::Builder::new()
             .name("minirel-replica".into())
             .spawn(move || {
-                let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
+                let mut group = CommitGroup::default();
                 while !thread_shared.stop.load(Ordering::Relaxed) {
                     match rx.recv_timeout(Duration::from_millis(25)) {
                         Ok(chunk) => {
-                            let (records, _) = wal::scan_records(&chunk);
-                            for rec in &records {
-                                if let Err(e) = apply_record(&thread_shared, &mut pending, rec) {
+                            let mut records = RecordReader::new(chunk.as_slice());
+                            while let Ok(Some(rec)) = records.next_record() {
+                                if let Err(e) = apply_record(&thread_shared, &mut group, rec) {
                                     *thread_shared.error.lock() = Some(e.to_string());
                                     return;
                                 }
@@ -426,14 +508,16 @@ impl Replica {
     /// files into an in-memory follower, then poll the WAL file every
     /// `poll` for new committed records. The attach loop retries while a
     /// leader checkpoint is concurrently rewriting the data file (it
-    /// detects one via the checkpoint-marker count changing).
+    /// detects one via the checkpoint-marker count, read in a streaming
+    /// pass over the log before and after copying the data file). The
+    /// replay and every poll stream the log one commit group at a time;
+    /// a poll reads only the bytes past the last applied commit.
     pub fn tail_file(data_path: &Path, frames: usize, poll: Duration) -> DbResult<Replica> {
         let wal_path = wal_path_for(data_path);
-        let (mut disk, wal_bytes) = loop {
-            let wal_a = std::fs::read(&wal_path).map_err(|e| DbError::io("read", &wal_path, e))?;
+        let mut disk = loop {
+            let before = count_checkpoints(&wal_path)?;
             let data = std::fs::read(data_path).map_err(|e| DbError::io("read", data_path, e))?;
-            let wal_b = std::fs::read(&wal_path).map_err(|e| DbError::io("read", &wal_path, e))?;
-            if count_checkpoints(&wal_a) != count_checkpoints(&wal_b) {
+            if count_checkpoints(&wal_path)? != before {
                 // A checkpoint rewrote the data file while we copied it;
                 // the copy may hold torn pages. Try again.
                 continue;
@@ -443,9 +527,9 @@ impl Replica {
                 let pid = disk.allocate()?;
                 disk.write(pid, chunk.try_into().expect("exact chunk"))?;
             }
-            break (disk, wal_b);
+            break disk;
         };
-        let (catalog, base_lsn, mut offset) = match replay_into(&mut disk, &wal_bytes)? {
+        let (catalog, base_lsn, mut offset) = match replay_from(&mut disk, open_log(&wal_path)?)? {
             Some(r) => (r.catalog, r.last_lsn, r.applied_end),
             None => (Catalog::new(), 0, 0),
         };
@@ -457,46 +541,19 @@ impl Replica {
             error: OrderedMutex::new(rank::REPLICA_ERR, None),
         });
         let thread_shared = Arc::clone(&shared);
-        let wal_path_t = wal_path.clone();
         let handle = std::thread::Builder::new()
             .name("minirel-replica-tail".into())
             .spawn(move || {
-                let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
+                let mut group = CommitGroup::default();
                 while !thread_shared.stop.load(Ordering::Relaxed) {
                     std::thread::sleep(poll);
-                    let bytes = match std::fs::read(&wal_path_t) {
-                        Ok(b) => b,
+                    match poll_tail(&thread_shared, &mut group, &wal_path, offset) {
+                        Ok(next) => offset = next,
                         Err(e) => {
-                            *thread_shared.error.lock() =
-                                Some(format!("tail read {}: {e}", wal_path_t.display()));
+                            *thread_shared.error.lock() = Some(e);
                             return;
                         }
-                    };
-                    if (bytes.len() as u64) < offset {
-                        // The log shrank: the leader restarted and
-                        // rotated. This follower's stream is over.
-                        *thread_shared.error.lock() =
-                            Some("wal rotated under the tailing replica".into());
-                        return;
                     }
-                    let tail = &bytes[offset as usize..];
-                    let (records, _) = wal::scan_records(tail);
-                    let mut consumed = 0u64;
-                    let mut scanned = 0u64;
-                    for rec in &records {
-                        scanned += (wal::RECORD_HEADER + rec.payload.len()) as u64;
-                        if let Err(e) = apply_record(&thread_shared, &mut pending, rec) {
-                            *thread_shared.error.lock() = Some(e.to_string());
-                            return;
-                        }
-                        if matches!(rec.kind, KIND_COMMIT | KIND_CHECKPOINT) {
-                            consumed = scanned;
-                        }
-                    }
-                    // Only advance past whole committed groups; images
-                    // without their commit yet are re-read next poll.
-                    pending.clear();
-                    offset += consumed;
                 }
             })
             .expect("spawn replica tail thread");
@@ -584,6 +641,7 @@ impl Drop for Replica {
 mod tests {
     use super::*;
     use crate::value::Value;
+    use crate::wal;
 
     fn sample_db() -> Database {
         let mut db = Database::in_memory();
@@ -636,6 +694,59 @@ mod tests {
                 Err(e) => panic!("cut at {cut}: unexpected error {e}"),
             }
         }
+    }
+
+    fn image(pid: PageId, fill: u8, lsn: u64) -> Vec<u8> {
+        let mut payload = pid.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[fill; PAGE_SIZE]);
+        wal::encode_record(lsn, KIND_PAGE_IMAGE, &payload)
+    }
+
+    fn commit(num_pages: u32, lsn: u64) -> Vec<u8> {
+        let mut payload = num_pages.to_le_bytes().to_vec();
+        payload.extend_from_slice(&encode_catalog(&Catalog::new()));
+        wal::encode_record(lsn, KIND_COMMIT, &payload)
+    }
+
+    fn page(disk: &mut DiskManager, pid: PageId) -> u8 {
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read(pid, &mut buf).unwrap();
+        buf[0]
+    }
+
+    #[test]
+    fn replay_installs_whole_groups_up_to_the_last_commit() {
+        let mut log = image(0, 0xA, 1);
+        log.extend_from_slice(&commit(1, 2));
+        let committed_end = log.len() as u64;
+        // A checkpoint marker after the last commit does not move
+        // `applied_end`; the images after it, and a malformed one, are
+        // a tail no commit covers and stay uninterpreted.
+        log.extend_from_slice(&wal::encode_record(3, KIND_CHECKPOINT, &1u32.to_le_bytes()));
+        log.extend_from_slice(&image(0, 0xB, 4));
+        log.extend_from_slice(&image(1, 0xC, 5));
+        log.extend_from_slice(&wal::encode_record(6, KIND_PAGE_IMAGE, b"short"));
+        let mut disk = DiskManager::in_memory();
+        let r = replay_into(&mut disk, &log).unwrap().expect("a commit");
+        assert_eq!((r.last_lsn, r.num_pages), (2, 1));
+        assert_eq!(r.applied_end, committed_end);
+        assert_eq!(disk.num_pages(), 1);
+        assert_eq!(page(&mut disk, 0), 0xA);
+
+        // The same malformed image inside a committed group fails replay.
+        log.extend_from_slice(&commit(2, 7));
+        let mut disk = DiskManager::in_memory();
+        assert!(matches!(
+            replay_into(&mut disk, &log),
+            Err(DbError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn replay_of_a_log_without_commit_is_none() {
+        let mut disk = DiskManager::in_memory();
+        assert!(replay_into(&mut disk, &image(0, 1, 1)).unwrap().is_none());
+        assert_eq!(disk.num_pages(), 0, "an uncommitted image is not installed");
     }
 
     #[test]

@@ -24,6 +24,17 @@
 //! `Checkpoint` = `num_pages u32` (a marker: every committed image
 //! before it has been written to the data file).
 //!
+//! ## Reading the log
+//!
+//! Every consumer — recovery, the file-tailing replica, the in-process
+//! replica's chunks, [`decode_record`] and [`scan_records`] — decodes
+//! through one [`RecordReader`]: a stream over any [`Read`] yielding
+//! one validated record at a time into a reused payload buffer. A
+//! short header or payload is the clean end of the log; a bad length,
+//! checksum, or kind is corruption, and either ends the valid prefix.
+//! The payload is read in bounded steps, so a torn header declaring a
+//! huge length never allocates it.
+//!
 //! ## Group commit
 //!
 //! [`Wal::commit`] appends and publishes but only fsyncs every
@@ -121,62 +132,160 @@ pub fn encode_record(lsn: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode the record at the front of `buf`.
-///
-/// * `Ok(Some((record, consumed)))` — a whole, checksum-valid record.
-/// * `Ok(None)` — `buf` is empty or holds only a truncated tail (fewer
-///   bytes than the header + declared payload): the clean end of a log.
-/// * `Err(DbError::Corrupt)` — a record-shaped region whose checksum,
-///   kind, or length is wrong: bit rot or a torn overwrite.
-pub fn decode_record(buf: &[u8]) -> DbResult<Option<(Record, usize)>> {
-    if buf.len() < RECORD_HEADER {
-        return Ok(None);
-    }
-    let lsn = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
-    let kind = buf[8];
-    let len = u32::from_le_bytes(buf[9..13].try_into().expect("4 bytes")) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(DbError::Corrupt(format!(
-            "wal record at lsn {lsn} declares absurd payload of {len} bytes"
-        )));
-    }
-    if buf.len() < RECORD_HEADER + len {
-        return Ok(None);
-    }
-    let crc = u64::from_le_bytes(buf[13..21].try_into().expect("8 bytes"));
-    let payload = &buf[RECORD_HEADER..RECORD_HEADER + len];
-    let want = checksum(&[&buf[0..8], &[kind], &buf[9..13], payload]);
-    if crc != want {
-        return Err(DbError::Corrupt(format!(
-            "wal record at lsn {lsn} fails checksum (stored {crc:#x}, computed {want:#x})"
-        )));
-    }
-    if !matches!(kind, KIND_PAGE_IMAGE | KIND_COMMIT | KIND_CHECKPOINT) {
-        return Err(DbError::Corrupt(format!(
-            "wal record at lsn {lsn} has unknown kind {kind}"
-        )));
-    }
-    Ok(Some((
+/// Payload bytes the [`RecordReader`] reads (and grows its buffer by)
+/// per step: a torn header declaring a huge `len` costs at most one
+/// step of allocation before the missing bytes end the read.
+const READ_STEP: usize = 64 * 1024;
+
+/// One record as the [`RecordReader`] yields it; `payload` borrows the
+/// reader's reused buffer until the next read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Log sequence number.
+    pub lsn: u64,
+    /// One of the `KIND_*` constants.
+    pub kind: u8,
+    /// Kind-specific payload.
+    pub payload: &'a [u8],
+    /// Offset just past this record, from the start of the stream.
+    pub end: u64,
+}
+
+impl From<RecordRef<'_>> for Record {
+    fn from(r: RecordRef<'_>) -> Record {
         Record {
+            lsn: r.lsn,
+            kind: r.kind,
+            payload: r.payload.to_vec(),
+        }
+    }
+}
+
+/// Streaming record decoder over any [`Read`]: yields one record at a
+/// time into a reused payload buffer, so memory is bounded by the
+/// largest record, never by the log. The single home of the record
+/// validation rules; [`decode_record`] and [`scan_records`] wrap it.
+pub struct RecordReader<R> {
+    src: R,
+    payload: Vec<u8>,
+    offset: u64,
+}
+
+impl<R: Read> RecordReader<R> {
+    /// Read records from `src`, whose first byte is a record boundary.
+    pub fn new(src: R) -> Self {
+        RecordReader {
+            src,
+            payload: Vec::new(),
+            offset: 0,
+        }
+    }
+
+    /// Offset just past the last whole, valid record read: the end of
+    /// the log's valid prefix once the reader stops yielding records.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// [`RecordReader::next_record`] as a scan sees it: a corrupt
+    /// record ends the valid prefix just as a truncated one does, so
+    /// only an I/O error surfaces.
+    pub fn next_valid(&mut self) -> DbResult<Option<RecordRef<'_>>> {
+        match self.next_record() {
+            Err(DbError::Corrupt(_)) => Ok(None),
+            other => other,
+        }
+    }
+
+    /// Decode the next record.
+    ///
+    /// * `Ok(Some(record))` — a whole, checksum-valid record.
+    /// * `Ok(None)` — the stream ends, or ends inside a record (fewer
+    ///   bytes than the header + declared payload): the clean end of a
+    ///   log.
+    /// * `Err(DbError::Corrupt)` — a record-shaped region whose
+    ///   checksum, kind, or length is wrong: bit rot or a torn
+    ///   overwrite.
+    /// * `Err(DbError::Io)` — the source itself failed.
+    pub fn next_record(&mut self) -> DbResult<Option<RecordRef<'_>>> {
+        let mut header = [0u8; RECORD_HEADER];
+        if read_full(&mut self.src, &mut header)? < RECORD_HEADER {
+            return Ok(None);
+        }
+        let lsn = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
+        let kind = header[8];
+        let len = u32::from_le_bytes(header[9..13].try_into().expect("4 bytes")) as usize;
+        if len > MAX_PAYLOAD {
+            return Err(DbError::Corrupt(format!(
+                "wal record at lsn {lsn} declares absurd payload of {len} bytes"
+            )));
+        }
+        self.payload.clear();
+        while self.payload.len() < len {
+            let have = self.payload.len();
+            let step = (len - have).min(READ_STEP);
+            self.payload.resize(have + step, 0);
+            if read_full(&mut self.src, &mut self.payload[have..])? < step {
+                return Ok(None);
+            }
+        }
+        let crc = u64::from_le_bytes(header[13..21].try_into().expect("8 bytes"));
+        let want = checksum(&[&header[0..8], &[kind], &header[9..13], &self.payload]);
+        if crc != want {
+            return Err(DbError::Corrupt(format!(
+                "wal record at lsn {lsn} fails checksum (stored {crc:#x}, computed {want:#x})"
+            )));
+        }
+        if !matches!(kind, KIND_PAGE_IMAGE | KIND_COMMIT | KIND_CHECKPOINT) {
+            return Err(DbError::Corrupt(format!(
+                "wal record at lsn {lsn} has unknown kind {kind}"
+            )));
+        }
+        self.offset += (RECORD_HEADER + len) as u64;
+        Ok(Some(RecordRef {
             lsn,
             kind,
-            payload: payload.to_vec(),
-        },
-        RECORD_HEADER + len,
-    )))
+            payload: &self.payload,
+            end: self.offset,
+        }))
+    }
+}
+
+/// Fill `buf` from `src` as far as it goes; returns the bytes read,
+/// short only at end of stream.
+fn read_full(src: &mut impl Read, buf: &mut [u8]) -> DbResult<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match src.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(DbError::io("read", "<wal stream>", e)),
+        }
+    }
+    Ok(got)
+}
+
+/// Decode the record at the front of `buf` (a [`RecordReader`] over the
+/// slice): `Ok(Some((record, consumed)))`, `Ok(None)` at a truncated
+/// tail, `Err(DbError::Corrupt)` for a bad length, checksum, or kind.
+pub fn decode_record(buf: &[u8]) -> DbResult<Option<(Record, usize)>> {
+    let mut reader = RecordReader::new(buf);
+    Ok(reader
+        .next_record()?
+        .map(|r| (Record::from(r), r.end as usize)))
 }
 
 /// Scan a byte buffer into records, stopping at the first truncated or
 /// corrupt region. Returns the records and the byte length of the valid
 /// prefix — recovery truncates the log there.
 pub fn scan_records(buf: &[u8]) -> (Vec<Record>, usize) {
+    let mut reader = RecordReader::new(buf);
     let mut out = Vec::new();
-    let mut off = 0usize;
-    while let Ok(Some((rec, used))) = decode_record(&buf[off..]) {
-        out.push(rec);
-        off += used;
+    while let Ok(Some(r)) = reader.next_record() {
+        out.push(Record::from(r));
     }
-    (out, off)
+    (out, reader.offset() as usize)
 }
 
 /// Crash-injection hook: aborts the process at the configured sync

@@ -5,7 +5,8 @@
 
 use minirel::recovery::{self, Replica};
 use minirel::wal::{
-    self, checksum, decode_record, encode_record, scan_records, KIND_COMMIT, KIND_PAGE_IMAGE,
+    self, checksum, decode_record, encode_record, scan_records, Record, RecordReader,
+    KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_IMAGE,
 };
 use minirel::{Database, DbError, Value};
 use proptest::prelude::*;
@@ -119,6 +120,92 @@ fn corruption_is_rejected_at_every_byte() {
             }
         }
     }
+}
+
+/// A `Read` that hands out 1–7 bytes per call, in a seeded pattern.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    state: u64,
+}
+
+impl std::io::Read for Dribble<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        self.state = self
+            .state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let want = 1 + (self.state >> 61) as usize % 7;
+        let n = want.min(out.len()).min(self.bytes.len());
+        out[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Records and valid length a `RecordReader` yields over `bytes` fed
+/// 1–7 bytes per read.
+fn dribble_scan(bytes: &[u8], seed: u64) -> (Vec<Record>, usize) {
+    let mut reader = RecordReader::new(Dribble { bytes, state: seed });
+    let mut out = Vec::new();
+    while let Ok(Some(rec)) = reader.next_record() {
+        out.push(Record::from(rec));
+    }
+    (out, reader.offset() as usize)
+}
+
+/// The streaming reader fed in 1–7-byte reads sees exactly what
+/// `scan_records` sees over the same bytes, for a log cut at every
+/// offset: a corrupt record mid-log stops both at the same place.
+#[test]
+fn streaming_reader_matches_scan_at_every_cut() {
+    let mut log = Vec::new();
+    for (i, (kind, len)) in [
+        (KIND_PAGE_IMAGE, 0usize),
+        (KIND_COMMIT, 1),
+        (KIND_CHECKPOINT, 7),
+        (KIND_PAGE_IMAGE, 8),
+        (KIND_COMMIT, 100),
+        (KIND_PAGE_IMAGE, 300),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let payload: Vec<u8> = (0..len).map(|b| (b * 31 + i) as u8).collect();
+        log.extend_from_slice(&encode_record(i as u64 + 1, kind, &payload));
+    }
+    let mut bad = encode_record(7, KIND_COMMIT, b"flipped");
+    bad[25] ^= 0x40;
+    log.extend_from_slice(&bad);
+    log.extend_from_slice(&encode_record(8, KIND_COMMIT, b"after the bad record"));
+    for cut in 0..=log.len() {
+        let want = scan_records(&log[..cut]);
+        assert_eq!(dribble_scan(&log[..cut], cut as u64), want, "cut {cut}");
+    }
+    let (recs, _) = scan_records(&log);
+    assert_eq!(recs.len(), 6, "the corrupt record ends the scan");
+
+    // A payload longer than one read step, cut around its boundaries.
+    let big: Vec<u8> = (0..70_000u32).map(|b| (b % 251) as u8).collect();
+    let mut log = encode_record(1, KIND_COMMIT, &big);
+    log.extend_from_slice(&encode_record(2, KIND_CHECKPOINT, b""));
+    let h = wal::RECORD_HEADER;
+    for cut in [
+        0,
+        h - 1,
+        h,
+        h + 1,
+        h + 65_535,
+        h + 65_536,
+        h + 65_537,
+        h + big.len(),
+    ]
+    .into_iter()
+    .chain(log.len() - h - 1..=log.len())
+    {
+        let want = scan_records(&log[..cut]);
+        assert_eq!(dribble_scan(&log[..cut], cut as u64), want, "cut {cut}");
+    }
+    assert_eq!(scan_records(&log).0.len(), 2);
 }
 
 #[test]
@@ -325,6 +412,46 @@ fn file_tailing_replica_follows() {
     );
     drop(replica);
     drop(leader);
+    cleanup(&path);
+}
+
+/// A leader restart rotates the log under a file-tailing replica: the
+/// fresh log is shorter than the replica's offset, and the replica must
+/// report the rotation instead of reading the new log from a stale
+/// offset.
+#[test]
+fn file_tailing_replica_reports_rotation() {
+    let path = temp_db_path("rotate");
+    cleanup(&path);
+    let mut leader = Database::open_with(&path, 32, 1).unwrap();
+    leader.execute("create table t (a int, pad text)").unwrap();
+    for i in 0..20 {
+        leader
+            .execute(&format!("insert into t values ({i}, 'row-{i:04}')"))
+            .unwrap();
+        leader.commit_durable().unwrap();
+    }
+    let replica = Replica::tail_file(&path, 32, Duration::from_millis(5)).unwrap();
+    assert_eq!(
+        replica
+            .query("select count(*) from t")
+            .unwrap()
+            .scalar_i64(),
+        Some(20)
+    );
+    drop(leader);
+    let reopened = Database::open(&path, 32).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while replica.error().is_none() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let err = replica.error();
+    assert!(
+        err.as_deref().is_some_and(|e| e.contains("rotated")),
+        "replica error after rotation: {err:?}"
+    );
+    drop(replica);
+    drop(reopened);
     cleanup(&path);
 }
 
